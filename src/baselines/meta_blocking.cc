@@ -1,9 +1,10 @@
 #include "baselines/meta_blocking.h"
 
 #include <algorithm>
+#include <span>
 #include <utility>
 
-#include "common/flat_map.h"
+#include "core/group_by_key.h"
 #include "features/feature_store.h"
 #include "pipeline/pipeline.h"
 #include "pipeline/stages.h"
@@ -22,22 +23,25 @@ void TokenBlockingTechnique::Run(const data::Dataset& dataset,
   // string hashing or tokenization here, just id-indexed appends.
   features::FeatureView::TokenHandle tokens =
       dataset.features().TokensFor(attributes_);
-  // Postings keyed by token id in a hash map: its footprint follows the
-  // tokens this run actually touches, not token_limit — which covers the
-  // whole column even when this run is one small shard slice of it.
-  FlatMap<features::TokenId, core::Block> postings;
+  // Postings grouped by token id: the grouping core's footprint follows
+  // the (token, record) occurrences this run touches, not token_limit —
+  // which covers the whole column even when this run is one small shard
+  // slice of it.
+  core::GroupByKey postings;
   for (data::RecordId id = 0; id < dataset.size(); ++id) {
     for (features::TokenId token : tokens.Tokens(id)) {
-      postings[token].push_back(id);
+      postings.Add(token, id);
     }
   }
   // Emit in canonical content order: downstream pruning should see blocks
   // ordered by what they contain, not by how the vocabulary happened to
   // be discovered. Singleton blocks carry no comparisons and are skipped.
   std::vector<core::Block> kept;
-  postings.ForEach([&](features::TokenId, core::Block& block) {
-    if (block.size() >= 2) kept.push_back(std::move(block));
-  });
+  postings.ForEachGroup(
+      [&kept](uint64_t, std::span<const data::RecordId> ids) {
+        kept.emplace_back(ids.begin(), ids.end());
+        return true;
+      });
   std::sort(kept.begin(), kept.end());
   for (core::Block& block : kept) {
     if (sink.Done()) break;

@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "common/check.h"
 #include "common/hashing.h"
 #include "common/string_util.h"
+#include "core/group_by_key.h"
 #include "text/qgram.h"
 
 namespace sablock::baselines {
@@ -79,7 +79,7 @@ void GenerateSubListKeys(const std::vector<uint64_t>& grams, size_t max_del,
 void QGramIndexing::Run(const data::Dataset& dataset,
                         core::BlockSink& sink) const {
   KeyBuilder keys(dataset, key_);
-  std::unordered_map<uint64_t, core::Block> buckets;
+  core::GroupByKey groups;
   for (data::RecordId id = 0; id < dataset.size(); ++id) {
     std::string bkv = keys.Key(id);
     if (bkv.empty()) continue;
@@ -97,14 +97,9 @@ void QGramIndexing::Run(const data::Dataset& dataset,
 
     std::vector<uint64_t> keys;
     GenerateSubListKeys(grams, max_del, max_keys_per_record_, &keys);
-    for (uint64_t key : keys) {
-      buckets[key].push_back(id);
-    }
+    for (uint64_t key : keys) groups.Add(key, id);
   }
-  for (auto& [key, block] : buckets) {
-    if (sink.Done()) return;
-    if (block.size() >= 2) sink.Consume(std::move(block));
-  }
+  groups.Emit(sink);
 }
 
 }  // namespace sablock::baselines

@@ -1,12 +1,13 @@
 #include "core/lsh_blocker.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "common/check.h"
 #include "common/hashing.h"
 #include "common/random.h"
+#include "core/group_by_key.h"
 #include "features/feature_store.h"
+#include "obs/span.h"
 
 namespace sablock::core {
 
@@ -50,18 +51,6 @@ void AppendSemanticBucketKeys(uint64_t band, const SemSignature& sem,
   }
 }
 
-namespace {
-
-void EmitBlocks(std::unordered_map<uint64_t, Block>&& buckets,
-                BlockSink& sink) {
-  for (auto& [key, block] : buckets) {
-    if (sink.Done()) return;
-    if (block.size() >= 2) sink.Consume(std::move(block));
-  }
-}
-
-}  // namespace
-
 features::FeatureView::SignatureHandle MinhashSignatures(
     const data::Dataset& dataset, const LshParams& params) {
   SABLOCK_CHECK(params.k > 0 && params.l > 0);
@@ -69,18 +58,44 @@ features::FeatureView::SignatureHandle MinhashSignatures(
                                           params.k * params.l, params.seed);
 }
 
-std::vector<std::vector<uint64_t>> ComputeMinhashSignatures(
-    const data::Dataset& dataset, const LshParams& params) {
-  features::FeatureView::SignatureHandle cached =
-      MinhashSignatures(dataset, params);
-  std::vector<std::vector<uint64_t>> sigs;
-  sigs.reserve(dataset.size());
-  for (data::RecordId id = 0; id < dataset.size(); ++id) {
-    std::span<const uint64_t> s = cached.Signature(id);
-    sigs.emplace_back(s.begin(), s.end());
+namespace {
+
+using SignatureHandle = features::FeatureView::SignatureHandle;
+
+// The records that enter the tables: those with a non-empty shingle set.
+std::vector<data::RecordId> TableRecords(const SignatureHandle& sigs,
+                                         size_t num_records) {
+  std::vector<data::RecordId> ids;
+  ids.reserve(num_records);
+  for (data::RecordId id = 0; id < num_records; ++id) {
+    if (!IsEmptyMinhashSignature(sigs.Signature(id))) ids.push_back(id);
   }
-  return sigs;
+  return ids;
 }
+
+// The signature column is record-major (k·l slots a row), so one table's
+// k slots sit a whole row apart from record to record: a stride the
+// hardware prefetcher does not follow across pages. The band-key loop
+// prefetches the table's slots this many records ahead.
+constexpr size_t kPrefetchAhead = 16;
+
+// Calls fn(id, band key of `table`) for every id in `ids`, in order.
+template <typename Fn>
+void ForEachBandKey(const SignatureHandle& sigs,
+                    const std::vector<data::RecordId>& ids, int table, int k,
+                    Fn&& fn) {
+  const size_t slot = static_cast<size_t>(table) * k;
+  for (size_t i = 0; i < ids.size(); ++i) {
+    if (i + kPrefetchAhead < ids.size()) {
+      const uint64_t* ahead = sigs.Signature(ids[i + kPrefetchAhead]).data();
+      __builtin_prefetch(ahead + slot);
+      __builtin_prefetch(ahead + slot + k - 1);
+    }
+    fn(ids[i], LshBandKey(sigs.Signature(ids[i]), table, k));
+  }
+}
+
+}  // namespace
 
 LshBlocker::LshBlocker(LshParams params) : params_(std::move(params)) {}
 
@@ -90,17 +105,23 @@ std::string LshBlocker::name() const {
 }
 
 void LshBlocker::Run(const data::Dataset& dataset, BlockSink& sink) const {
-  features::FeatureView::SignatureHandle sigs =
-      MinhashSignatures(dataset, params_);
-  for (int t = 0; t < params_.l; ++t) {
-    if (sink.Done()) return;
-    std::unordered_map<uint64_t, Block> buckets;
-    buckets.reserve(dataset.size());
-    for (data::RecordId id = 0; id < dataset.size(); ++id) {
-      if (IsEmptyMinhashSignature(sigs.Signature(id))) continue;
-      buckets[LshBandKey(sigs.Signature(id), t, params_.k)].push_back(id);
-    }
-    EmitBlocks(std::move(buckets), sink);
+  const SignatureHandle sigs = MinhashSignatures(dataset, params_);
+  obs::ObsSpan band_keys("core.lsh.band_keys");
+  obs::ObsSpan group_emit("core.lsh.group_emit");
+  group_emit.Pause();
+  const std::vector<data::RecordId> ids = TableRecords(sigs, dataset.size());
+  GroupByKey groups;
+  groups.Reserve(ids.size());
+  for (int t = 0; t < params_.l && !sink.Done(); ++t) {
+    band_keys.Resume();
+    ForEachBandKey(sigs, ids, t, params_.k,
+                   [&](data::RecordId id, uint64_t band) {
+                     groups.Add(band, id);
+                   });
+    band_keys.Pause();
+    group_emit.Resume();
+    groups.Emit(sink);
+    group_emit.Pause();
   }
 }
 
@@ -123,38 +144,48 @@ std::string SemanticAwareLshBlocker::name() const {
 
 void SemanticAwareLshBlocker::Run(const data::Dataset& dataset,
                                   BlockSink& sink) const {
-  features::FeatureView::SignatureHandle sigs =
-      MinhashSignatures(dataset, lsh_params_);
+  const SignatureHandle sigs = MinhashSignatures(dataset, lsh_params_);
 
-  const Taxonomy& taxonomy = semantics_->taxonomy();
-  std::vector<std::vector<ConceptId>> zetas =
-      semantics_->InterpretAll(dataset);
-  SemhashEncoder encoder = SemhashEncoder::Build(taxonomy, zetas);
-  std::vector<SemSignature> sem_sigs = encoder.EncodeAll(taxonomy, zetas);
-
-  const uint32_t dim = encoder.dimension();
+  std::vector<SemSignature> sem_sigs;
+  uint32_t dim = 0;
+  {
+    obs::ObsSpan span("core.salsh.semantic");
+    const Taxonomy& taxonomy = semantics_->taxonomy();
+    std::vector<std::vector<ConceptId>> zetas =
+        semantics_->InterpretAll(dataset);
+    SemhashEncoder encoder = SemhashEncoder::Build(taxonomy, zetas);
+    sem_sigs = encoder.EncodeAll(taxonomy, zetas);
+    dim = encoder.dimension();
+  }
   // Degenerate case: no record has any semantic feature. The semantic
   // filter cannot distinguish records; fall back to textual blocking only.
   if (dim == 0) {
     LshBlocker(lsh_params_).Run(dataset, sink);
     return;
   }
+  obs::ObsSpan band_keys("core.salsh.band_keys");
+  obs::ObsSpan group_emit("core.salsh.group_emit");
+  group_emit.Pause();
+  const std::vector<data::RecordId> ids = TableRecords(sigs, dataset.size());
+  GroupByKey groups;
+  groups.Reserve(ids.size());
   std::vector<uint64_t> keys;
-  for (int t = 0; t < lsh_params_.l; ++t) {
-    if (sink.Done()) return;
-    std::vector<size_t> chosen = SemanticTableChoices(sem_params_, dim, t);
-
-    std::unordered_map<uint64_t, Block> buckets;
-    buckets.reserve(dataset.size());
-    for (data::RecordId id = 0; id < dataset.size(); ++id) {
-      if (IsEmptyMinhashSignature(sigs.Signature(id))) continue;
-      uint64_t band = LshBandKey(sigs.Signature(id), t, lsh_params_.k);
-      keys.clear();
-      AppendSemanticBucketKeys(band, sem_sigs[id], sem_params_.mode, chosen,
-                               &keys);
-      for (uint64_t key : keys) buckets[key].push_back(id);
-    }
-    EmitBlocks(std::move(buckets), sink);
+  for (int t = 0; t < lsh_params_.l && !sink.Done(); ++t) {
+    band_keys.Resume();
+    const std::vector<size_t> chosen =
+        SemanticTableChoices(sem_params_, dim, t);
+    ForEachBandKey(sigs, ids, t, lsh_params_.k,
+                   [&](data::RecordId id, uint64_t band) {
+                     keys.clear();
+                     AppendSemanticBucketKeys(band, sem_sigs[id],
+                                              sem_params_.mode, chosen,
+                                              &keys);
+                     for (uint64_t key : keys) groups.Add(key, id);
+                   });
+    band_keys.Pause();
+    group_emit.Resume();
+    groups.Emit(sink);
+    group_emit.Pause();
   }
 }
 

@@ -122,11 +122,6 @@ void AppendSemanticBucketKeys(uint64_t band, const SemSignature& sem,
                               const std::vector<size_t>& chosen,
                               std::vector<uint64_t>* keys);
 
-/// Materializing wrapper around MinhashSignatures (copies the cached
-/// signatures out); kept for tests and ablation benches.
-std::vector<std::vector<uint64_t>> ComputeMinhashSignatures(
-    const data::Dataset& dataset, const LshParams& params);
-
 }  // namespace sablock::core
 
 #endif  // SABLOCK_CORE_LSH_BLOCKER_H_

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <span>
-#include <unordered_map>
 
 #include "common/check.h"
 #include "common/hashing.h"
+#include "core/group_by_key.h"
 #include "core/minhash.h"
 #include "features/feature_store.h"
 
@@ -83,10 +83,9 @@ void MultiProbeLshBlocker::Run(const data::Dataset& dataset,
   ComputeTop2MinhashSignatures(dataset, params_, &min1, &min2);
   const int probes = std::min(num_probes_, params_.k);
 
-  for (int t = 0; t < params_.l; ++t) {
-    if (sink.Done()) return;
-    std::unordered_map<uint64_t, Block> buckets;
-    buckets.reserve(dataset.size());
+  GroupByKey groups;
+  groups.Reserve(dataset.size());
+  for (int t = 0; t < params_.l && !sink.Done(); ++t) {
     for (data::RecordId id = 0; id < dataset.size(); ++id) {
       if (min1[id].empty() || min1[id][0] == MinHasher::kEmptySlot) {
         continue;
@@ -94,19 +93,14 @@ void MultiProbeLshBlocker::Run(const data::Dataset& dataset,
       // Base bucket plus one probe per perturbed row. Two records whose
       // probe sets intersect land in a shared bucket; single-member
       // buckets are dropped on emission.
-      buckets[BandKeyFromRows(min1[id], t, params_.k, -1, min2[id])]
-          .push_back(id);
+      groups.Add(BandKeyFromRows(min1[id], t, params_.k, -1, min2[id]), id);
       for (int p = 0; p < probes; ++p) {
         size_t idx = static_cast<size_t>(t) * params_.k + p;
         if (min2[id][idx] == MinHasher::kEmptySlot) continue;
-        buckets[BandKeyFromRows(min1[id], t, params_.k, p, min2[id])]
-            .push_back(id);
+        groups.Add(BandKeyFromRows(min1[id], t, params_.k, p, min2[id]), id);
       }
     }
-    for (auto& [key, block] : buckets) {
-      if (sink.Done()) return;
-      if (block.size() >= 2) sink.Consume(std::move(block));
-    }
+    groups.Emit(sink);
   }
 }
 
@@ -133,6 +127,7 @@ void LshForestBlocker::Run(const data::Dataset& dataset,
   features::FeatureView::SignatureHandle sigs =
       MinhashSignatures(dataset, effective);
 
+  GroupByKey children;
   for (int t = 0; t < params_.l; ++t) {
     if (sink.Done()) return;
     const size_t base = static_cast<size_t>(t) * max_depth_;
@@ -160,14 +155,17 @@ void LshForestBlocker::Run(const data::Dataset& dataset,
         sink.Consume(std::move(group));
         continue;
       }
-      std::unordered_map<uint64_t, Block> children;
+      // Split by the next row's label; single-record children can form
+      // no block and are dropped here.
       for (data::RecordId id : group) {
-        children[sigs.Signature(id)[base + static_cast<size_t>(depth)]]
-            .push_back(id);
+        children.Add(sigs.Signature(id)[base + static_cast<size_t>(depth)],
+                     id);
       }
-      for (auto& [label, child] : children) {
-        work.emplace_back(std::move(child), depth + 1);
-      }
+      children.ForEachGroup(
+          [&](uint64_t, std::span<const data::RecordId> child) {
+            work.emplace_back(Block(child.begin(), child.end()), depth + 1);
+            return true;
+          });
     }
   }
 }

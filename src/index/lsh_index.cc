@@ -1,6 +1,7 @@
 #include "index/lsh_index.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/check.h"
 #include "common/string_util.h"
@@ -46,19 +47,21 @@ std::vector<uint64_t> RowSignature(std::span<const std::string_view> values,
   return hasher.Signature(shingles);
 }
 
-/// Streams one table's buckets with >= 2 records in canonical content
-/// order (bucket ids are already ascending).
+/// Streams one table's buckets with >= 2 records in ascending bucket-key
+/// order — the batch blockers' per-table order (core::GroupByKey), so a
+/// loaded index replays the batch emission sequence exactly. Bucket ids
+/// are already ascending.
 void EmitTableBlocks(
     const std::unordered_map<uint64_t, std::vector<data::RecordId>>& table,
     core::BlockSink& sink) {
-  std::vector<core::Block> kept;
+  std::vector<std::pair<uint64_t, const std::vector<data::RecordId>*>> kept;
   for (const auto& [key, ids] : table) {
-    if (ids.size() >= 2) kept.push_back(ids);
+    if (ids.size() >= 2) kept.emplace_back(key, &ids);
   }
   std::sort(kept.begin(), kept.end());
-  for (core::Block& block : kept) {
+  for (const auto& [key, ids] : kept) {
     if (sink.Done()) return;
-    sink.Consume(std::move(block));
+    sink.Consume(*ids);
   }
 }
 

@@ -61,12 +61,25 @@ ObsSpan::ObsSpan(std::string_view name, TraceId trace, Tracer* tracer)
     : name_(name),
       trace_(trace),
       tracer_(tracer),
-      start_(std::chrono::steady_clock::now()) {}
+      start_(std::chrono::steady_clock::now()),
+      resumed_(start_) {}
 
 double ObsSpan::Elapsed() const {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start_)
-      .count();
+  std::chrono::steady_clock::duration active = active_;
+  if (running_) active += std::chrono::steady_clock::now() - resumed_;
+  return std::chrono::duration<double>(active).count();
+}
+
+void ObsSpan::Pause() {
+  if (!running_) return;
+  active_ += std::chrono::steady_clock::now() - resumed_;
+  running_ = false;
+}
+
+void ObsSpan::Resume() {
+  if (running_) return;
+  resumed_ = std::chrono::steady_clock::now();
+  running_ = true;
 }
 
 ObsSpan::~ObsSpan() {

@@ -69,6 +69,11 @@ class Tracer {
 ///
 /// `name` must outlive the span (string literals in practice — span
 /// names are code locations, not data).
+///
+/// Pause()/Resume() let one span time a phase that is interleaved with
+/// another (e.g. per-table band keys and grouping inside one LSH Run):
+/// the recorded duration is the active time only, and the record keeps
+/// the first start.
 class ObsSpan {
  public:
   explicit ObsSpan(std::string_view name, TraceId trace = 0,
@@ -80,14 +85,22 @@ class ObsSpan {
 
   TraceId trace() const { return trace_; }
 
-  /// Seconds elapsed so far.
+  /// Seconds the span has been active so far (paused time excluded).
   double Elapsed() const;
+
+  /// Stops the clock; no-op when already paused.
+  void Pause();
+  /// Restarts the clock; no-op when running.
+  void Resume();
 
  private:
   std::string_view name_;
   TraceId trace_;
   Tracer* tracer_;
   std::chrono::steady_clock::time_point start_;
+  std::chrono::steady_clock::time_point resumed_;
+  std::chrono::steady_clock::duration active_{};  // before resumed_
+  bool running_ = true;
 };
 
 }  // namespace sablock::obs

@@ -5,6 +5,9 @@
 
 #include "run_streaming.h"
 
+#include <span>
+#include <vector>
+
 #include "core/lsh_variants.h"
 #include "core/minhash.h"
 #include "data/cora_generator.h"
@@ -59,10 +62,10 @@ TEST(Top2SignaturesTest, Min1MatchesPlainSignature) {
   std::vector<std::vector<uint64_t>> min1;
   std::vector<std::vector<uint64_t>> min2;
   ComputeTop2MinhashSignatures(d, p, &min1, &min2);
-  std::vector<std::vector<uint64_t>> plain =
-      ComputeMinhashSignatures(d, p);
+  features::FeatureView::SignatureHandle plain = MinhashSignatures(d, p);
   for (data::RecordId id = 0; id < d.size(); ++id) {
-    EXPECT_EQ(min1[id], plain[id]) << id;
+    std::span<const uint64_t> sig = plain.Signature(id);
+    EXPECT_EQ(min1[id], std::vector<uint64_t>(sig.begin(), sig.end())) << id;
   }
 }
 

@@ -4,11 +4,16 @@
 // multi-threaded hammer runs under TSan via the `concurrency` ctest
 // label.
 
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/blocking.h"
+#include "core/domains.h"
+#include "core/lsh_blocker.h"
+#include "data/cora_generator.h"
 #include "gtest/gtest.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
@@ -272,6 +277,76 @@ TEST(ObsSpanTest, FeedsSpanSecondsFamily) {
       snapshot.Find("span_seconds", "obs_test.family");
   ASSERT_NE(sample, nullptr);
   EXPECT_GE(sample->count, 1u);
+}
+
+/// Observations of `span_seconds{span=<name>}` so far (0 if unseen).
+uint64_t SpanCount(const std::string& name) {
+  const MetricsSnapshot snapshot = MetricsRegistry::Global().Snapshot();
+  const SampleSnapshot* sample = snapshot.Find("span_seconds", name);
+  return sample == nullptr ? 0 : sample->count;
+}
+
+TEST(PhaseSpanTest, OneRunRecordsEachPhaseOnce) {
+  // One span per phase per Run, however many tables the Run has.
+  data::CoraGeneratorConfig config;
+  config.num_records = 200;
+  config.num_entities = 20;
+  const data::Dataset dataset = data::GenerateCoraLike(config);
+  const core::Domain domain = core::MakeBibliographicDomain();
+  core::LshParams params;
+  params.k = 4;
+  params.l = 6;
+  params.attributes = domain.blocking_attributes;
+
+  const std::vector<std::string> lsh = {"core.lsh.band_keys",
+                                        "core.lsh.group_emit"};
+  const std::vector<std::string> salsh = {"core.salsh.semantic",
+                                          "core.salsh.band_keys",
+                                          "core.salsh.group_emit"};
+  std::vector<uint64_t> before;
+  for (const std::string& name : lsh) before.push_back(SpanCount(name));
+  for (const std::string& name : salsh) before.push_back(SpanCount(name));
+
+  core::BlockCollection lsh_blocks;
+  core::LshBlocker(params).Run(dataset, lsh_blocks);
+  for (size_t i = 0; i < lsh.size(); ++i) {
+    EXPECT_EQ(SpanCount(lsh[i]), before[i] + 1) << lsh[i];
+  }
+  core::SemanticParams sem;
+  sem.w = 3;
+  core::BlockCollection salsh_blocks;
+  core::SemanticAwareLshBlocker(params, sem, domain.semantics)
+      .Run(dataset, salsh_blocks);
+  for (size_t i = 0; i < salsh.size(); ++i) {
+    EXPECT_EQ(SpanCount(salsh[i]), before[lsh.size() + i] + 1) << salsh[i];
+  }
+  EXPECT_GT(lsh_blocks.NumBlocks(), 0u);
+  EXPECT_GT(salsh_blocks.NumBlocks(), 0u);
+
+  // Both LSH phase spans reached the global trace ring too.
+  size_t recorded = 0;
+  for (const SpanRecord& span : Tracer::Global().Recent()) {
+    if (span.name == lsh[0] || span.name == lsh[1]) ++recorded;
+  }
+  EXPECT_GE(recorded, 2u);
+}
+
+TEST(ObsSpanTest, PausedTimeIsExcluded) {
+  Tracer tracer(4);
+  {
+    ObsSpan span("obs_test.paused", 0, &tracer);
+    span.Pause();
+    span.Pause();  // idempotent
+    const double paused_at = span.Elapsed();
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    EXPECT_EQ(span.Elapsed(), paused_at);
+    span.Resume();
+    span.Resume();  // idempotent
+    EXPECT_GE(span.Elapsed(), paused_at);
+  }
+  std::vector<SpanRecord> spans = tracer.Recent();
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_LT(spans[0].duration_us, 200000.0);
 }
 
 }  // namespace

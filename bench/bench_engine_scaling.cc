@@ -74,8 +74,9 @@ int RunEngineScaling(report::BenchContext& ctx) {
     std::vector<double> seconds;
     sablock::core::BlockCollection blocks;
     for (int run = 0; run < repeat; ++run) {
+      blocks = sablock::core::BlockCollection();
       sablock::WallTimer timer;
-      blocks = executor.ExecuteCollect(*technique, dataset);
+      executor.Execute(*technique, dataset, blocks);
       seconds.push_back(timer.Seconds());
     }
     report::RepeatStats stats =

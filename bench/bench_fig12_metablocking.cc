@@ -16,13 +16,13 @@
 #include "core/domains.h"
 #include "core/lsh_blocker.h"
 #include "eval/harness.h"
+#include "pipeline/meta_graph.h"
 #include "pipeline/pipeline.h"
 #include "scenarios.h"
 
 namespace sablock::bench {
 namespace {
 
-using sablock::baselines::MetaBlocking;
 using sablock::baselines::MetaPruning;
 using sablock::baselines::MetaPruningName;
 using sablock::baselines::MetaWeighting;
@@ -75,9 +75,9 @@ bool RunDataset(report::BenchContext& ctx, const char* title,
     for (MetaWeighting weighting :
          {MetaWeighting::kArcs, MetaWeighting::kCbs, MetaWeighting::kEcbs,
           MetaWeighting::kJs, MetaWeighting::kEjs}) {
-      MetaBlocking meta(attributes, weighting, pruning, purge_size);
-      sablock::eval::Metrics m =
-          sablock::eval::Evaluate(d, meta.Prune(d, initial));
+      sablock::eval::Metrics m = sablock::eval::Evaluate(
+          d, sablock::pipeline::MetaPrune(d.size(), initial, weighting,
+                                          pruning));
       if (m.fm_star > best.fm_star) {
         best = m;
         best_weight = MetaWeightingName(weighting);

@@ -19,7 +19,6 @@
 #include "scenarios.h"
 #include "common/check.h"
 #include "common/timer.h"
-#include "core/pair_sink.h"
 #include "eval/metrics.h"
 #include "pipeline/pipeline.h"
 #include "progressive/scheduler.h"
@@ -61,7 +60,7 @@ int RunProgressiveRecall(report::BenchContext& ctx) {
     SABLOCK_CHECK_MSG(status.ok(), status.message().c_str());
     SchedulerRun r;
     r.sched = name;
-    std::vector<core::CandidatePair> ordered;
+    std::vector<progressive::CandidatePair> ordered;
     r.stats = ctx.TimeRepeats([&](int) {
       WallTimer timer;
       ordered = scheduler->Schedule(dataset.size(), blocks);

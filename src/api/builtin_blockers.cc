@@ -22,6 +22,8 @@
 #include "core/iterative_blocker.h"
 #include "core/lsh_blocker.h"
 #include "core/lsh_variants.h"
+#include "pipeline/pipeline.h"
+#include "pipeline/stages.h"
 
 namespace sablock::api {
 namespace {
@@ -390,7 +392,8 @@ void RegisterCanopyAndMeta(BlockerRegistry& r) {
 
   r.Register(
       {"meta",
-       "meta-blocking over token blocking: weight, prune, emit pair blocks",
+       "meta-blocking: the token-blocking | purge | meta pipeline "
+       "(weight, prune, emit pair blocks)",
        {},
        {AttrsDoc(),
         {"weighting", "cbs", "edge weights (arcs|cbs|ecbs|js|ejs)"},
@@ -413,9 +416,13 @@ void RegisterCanopyAndMeta(BlockerRegistry& r) {
              {"cnp", baselines::MetaPruning::kCnp}});
         int max_block = p.GetInt("max-block", 500);
         if (max_block < 2) return RangeError("max-block", ">= 2");
-        *out = std::make_unique<baselines::MetaBlocking>(
-            std::move(attrs), weighting, pruning,
-            static_cast<size_t>(max_block));
+        pipeline::Pipeline stages;
+        stages.Add(std::make_unique<pipeline::PurgeStage>(max_block));
+        stages.Add(std::make_unique<pipeline::MetaStage>(weighting, pruning));
+        *out = std::make_unique<pipeline::PipelinedBlocker>(
+            std::make_unique<baselines::TokenBlockingTechnique>(
+                std::move(attrs)),
+            std::move(stages));
         return Status::Ok();
       });
 }

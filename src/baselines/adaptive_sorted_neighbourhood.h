@@ -21,7 +21,6 @@ class AdaptiveSortedNeighbourhood : public core::BlockingTechnique {
                               double threshold, size_t max_block_size = 0);
 
   std::string name() const override;
-  using core::BlockingTechnique::Run;
   void Run(const data::Dataset& dataset,
            core::BlockSink& sink) const override;
 

@@ -24,7 +24,6 @@ class CanopyThreshold : public core::BlockingTechnique {
                   double loose, double tight, uint64_t seed = 31);
 
   std::string name() const override;
-  using core::BlockingTechnique::Run;
   void Run(const data::Dataset& dataset,
            core::BlockSink& sink) const override;
 
@@ -45,7 +44,6 @@ class CanopyNearestNeighbour : public core::BlockingTechnique {
                          int n1, int n2, uint64_t seed = 31);
 
   std::string name() const override;
-  using core::BlockingTechnique::Run;
   void Run(const data::Dataset& dataset,
            core::BlockSink& sink) const override;
 

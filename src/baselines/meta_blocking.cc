@@ -6,7 +6,6 @@
 
 #include "core/group_by_key.h"
 #include "features/feature_store.h"
-#include "pipeline/pipeline.h"
 #include "pipeline/stages.h"
 
 namespace sablock::baselines {
@@ -58,36 +57,6 @@ core::BlockCollection TokenBlocking(
   TokenBlockingTechnique(attributes).Run(dataset, purge);
   purge.Flush();
   return out;
-}
-
-MetaBlocking::MetaBlocking(std::vector<std::string> attributes,
-                           MetaWeighting weighting, MetaPruning pruning,
-                           size_t max_block_size)
-    : attributes_(std::move(attributes)),
-      weighting_(weighting),
-      pruning_(pruning),
-      max_block_size_(max_block_size) {}
-
-std::string MetaBlocking::name() const {
-  return std::string("Meta(") + MetaPruningName(pruning_) + "+" +
-         MetaWeightingName(weighting_) + ")";
-}
-
-void MetaBlocking::Run(const data::Dataset& dataset,
-                       core::BlockSink& sink) const {
-  // The baseline is literally the pipeline `token-blocking | purge |
-  // meta`: purge streams, meta buffers and runs its graph phase on the
-  // flush (which Pipeline::Run stops at the chain boundary — a technique
-  // never flushes its caller's sink).
-  pipeline::Pipeline stages;
-  stages.Add(std::make_unique<pipeline::PurgeStage>(max_block_size_));
-  stages.Add(std::make_unique<pipeline::MetaStage>(weighting_, pruning_));
-  stages.Run(TokenBlockingTechnique(attributes_), dataset, sink);
-}
-
-core::BlockCollection MetaBlocking::Prune(
-    const data::Dataset& dataset, const core::BlockCollection& input) const {
-  return pipeline::MetaPrune(dataset.size(), input, weighting_, pruning_);
 }
 
 }  // namespace sablock::baselines

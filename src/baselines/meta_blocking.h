@@ -1,7 +1,6 @@
 #ifndef SABLOCK_BASELINES_META_BLOCKING_H_
 #define SABLOCK_BASELINES_META_BLOCKING_H_
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -10,10 +9,11 @@
 
 namespace sablock::baselines {
 
-// The weighting/pruning machinery lives in pipeline::MetaPrune so any
-// block generator composes with it as a pipeline stage; these aliases
-// keep the historical baselines:: spellings working for the benches and
-// tests that sweep the Fig. 12 grid.
+// Meta-blocking itself is the pipeline `token-blocking | purge | meta`
+// (the `meta` registry entry builds exactly that PipelinedBlocker); its
+// graph phase is pipeline::MetaPrune. These aliases keep the baselines::
+// spellings of the weighting/pruning enums for the benches and tests
+// that sweep the Fig. 12 grid.
 using MetaWeighting = pipeline::MetaWeighting;
 using MetaPruning = pipeline::MetaPruning;
 using pipeline::MetaPruningName;
@@ -29,7 +29,6 @@ class TokenBlockingTechnique : public core::BlockingTechnique {
   explicit TokenBlockingTechnique(std::vector<std::string> attributes);
 
   std::string name() const override;
-  using core::BlockingTechnique::Run;
   void Run(const data::Dataset& dataset,
            core::BlockSink& sink) const override;
 
@@ -42,33 +41,6 @@ class TokenBlockingTechnique : public core::BlockingTechnique {
 core::BlockCollection TokenBlocking(const data::Dataset& dataset,
                                     const std::vector<std::string>& attributes,
                                     size_t max_block_size);
-
-/// Meta-blocking baseline: a thin `token-blocking | purge | meta`
-/// pipeline packaged as one technique. Builds the blocking graph of the
-/// purged token blocks, weights its edges, prunes, and emits the retained
-/// comparisons as 2-record blocks.
-class MetaBlocking : public core::BlockingTechnique {
- public:
-  MetaBlocking(std::vector<std::string> attributes, MetaWeighting weighting,
-               MetaPruning pruning, size_t max_block_size = 500);
-
-  std::string name() const override;
-  using core::BlockingTechnique::Run;
-  void Run(const data::Dataset& dataset,
-           core::BlockSink& sink) const override;
-
-  /// Runs the graph phase on a pre-built block collection (exposed so the
-  /// Fig. 12 bench can report the initial blocks' metrics too). Forwards
-  /// to pipeline::MetaPrune.
-  core::BlockCollection Prune(const data::Dataset& dataset,
-                              const core::BlockCollection& input) const;
-
- private:
-  std::vector<std::string> attributes_;
-  MetaWeighting weighting_;
-  MetaPruning pruning_;
-  size_t max_block_size_;
-};
 
 }  // namespace sablock::baselines
 

@@ -19,7 +19,6 @@ class QGramIndexing : public core::BlockingTechnique {
                 size_t max_keys_per_record = 64);
 
   std::string name() const override;
-  using core::BlockingTechnique::Run;
   void Run(const data::Dataset& dataset,
            core::BlockSink& sink) const override;
 

@@ -14,7 +14,6 @@ class StandardBlocking : public core::BlockingTechnique {
   explicit StandardBlocking(BlockingKeyDef key) : key_(std::move(key)) {}
 
   std::string name() const override { return "TBlo"; }
-  using core::BlockingTechnique::Run;
   void Run(const data::Dataset& dataset,
            core::BlockSink& sink) const override;
 

@@ -18,7 +18,6 @@ class SuffixArrayBlocking : public core::BlockingTechnique {
                       size_t max_block_size);
 
   std::string name() const override;
-  using core::BlockingTechnique::Run;
   void Run(const data::Dataset& dataset,
            core::BlockSink& sink) const override;
 
@@ -37,7 +36,6 @@ class SuffixArrayAllSubstrings : public core::BlockingTechnique {
                            size_t max_block_size);
 
   std::string name() const override;
-  using core::BlockingTechnique::Run;
   void Run(const data::Dataset& dataset,
            core::BlockSink& sink) const override;
 
@@ -59,7 +57,6 @@ class RobustSuffixArrayBlocking : public core::BlockingTechnique {
                             double similarity_threshold);
 
   std::string name() const override;
-  using core::BlockingTechnique::Run;
   void Run(const data::Dataset& dataset,
            core::BlockSink& sink) const override;
 

@@ -17,19 +17,16 @@ using Block = std::vector<data::RecordId>;
 
 /// Streaming consumer of blocks. Techniques emit every block through a sink
 /// instead of materializing a full collection, so downstream stages
-/// (counting, capping, sharded fan-out, meta-blocking) can process blocks
+/// (counting, budgets, sharded fan-out, meta-blocking) can process blocks
 /// as they are produced.
 ///
 /// Thread-safety contract: sinks are NOT internally synchronized — a
 /// sink's Consume()/Done() must be called by one producer at a time.
 /// Concurrent producers (the sharded execution engine's stream mode)
 /// share one engine::ConcurrentSink wrapping the sink chain; it serializes
-/// every Consume() and Done() under a single mutex. Budget accounting is
-/// the exception: BudgetedSink instances share one atomic BudgetMeter, so
-/// each concurrent producer gets its own BudgetedSink over a thread-safe
-/// downstream and no ConcurrentSink wrap is needed for the countdown
-/// itself. Running concurrent producers into any other bare stateful sink
-/// is a data race (caught by the tools/check.sh --tsan build).
+/// every Consume() and Done() under a single mutex. Running concurrent
+/// producers into a bare stateful sink is a data race (caught by the
+/// tools/check.sh --tsan build).
 class BlockSink {
  public:
   virtual ~BlockSink() = default;
@@ -94,19 +91,22 @@ class PairCountingSink : public BlockSink {
   uint64_t max_block_size_ = 0;
 };
 
-/// Budget gate on a block stream: forwards blocks to an inner sink while
-/// a shared BudgetMeter has budget, then reports Done so the producing
-/// technique can stop early (progressive / budgeted blocking). Each block
-/// spends its redundancy-counting comparisons |b|(|b|-1)/2; the block
-/// that crosses the budget is still forwarded, so the forwarded total may
-/// exceed the pair limit by less than one block per producer.
+/// Budget gate on a block stream — the one budget mechanism of the batch
+/// path: a caller that wants a budget wraps its own sink in a BudgetedSink
+/// (the `cap:budget=` stage and the CLI's --budget do exactly this).
+/// Forwards blocks to the inner sink while a shared BudgetMeter has
+/// budget, then reports Done so the producing technique can stop early.
+/// Each block spends its redundancy-counting comparisons |b|(|b|-1)/2; the
+/// block that crosses the budget is still forwarded, so the forwarded
+/// total exceeds the pair limit by less than one block.
 ///
-/// The meter's countdown is atomic, so concurrent producers account
-/// against one global budget by giving each its own BudgetedSink over the
-/// same meter — no ConcurrentSink wrap is required for the budget itself
-/// (the inner sink still needs its own thread-safety if shared). The
-/// dropped-block counter is per-instance plain state, exact under the
-/// one-producer-per-sink contract.
+/// Under the sharded engine's stream mode, put the BudgetedSink under the
+/// engine's ConcurrentSink (pass it to Execute): every shard then spends
+/// from one serialized gate, so the overshoot stays below one block in
+/// total. The meter's countdown is atomic as well, so several
+/// BudgetedSinks may share one meter (one global budget across
+/// independent streams). The dropped-block counter is per-instance plain
+/// state, exact under the one-producer-per-sink contract.
 class BudgetedSink : public BlockSink {
  public:
   BudgetedSink(BlockSink& inner, std::shared_ptr<BudgetMeter> meter)
@@ -139,21 +139,6 @@ class BudgetedSink : public BlockSink {
   BlockSink* inner_;
   std::shared_ptr<BudgetMeter> meter_;
   uint64_t dropped_blocks_ = 0;
-};
-
-/// Back-compat shim over BudgetedSink (one release): the pre-Budget
-/// comparison cap. `CappedSink(inner, n)` ≡ BudgetedSink over a private
-/// meter with `pairs=n`. New code should construct a core::Budget and a
-/// BudgetedSink directly (sharing the meter across producers for global
-/// budgets); this alias keeps the old constructor and accessors compiling.
-class CappedSink : public BudgetedSink {
- public:
-  CappedSink(BlockSink& inner, uint64_t comparison_budget)
-      : BudgetedSink(inner, std::make_shared<BudgetMeter>(Budget{
-                                .pairs = comparison_budget})) {}
-
-  /// Comparisons forwarded so far.
-  uint64_t comparisons() const { return meter()->Spent(); }
 };
 
 }  // namespace sablock::core

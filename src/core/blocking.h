@@ -61,11 +61,9 @@ class BlockCollection : public BlockSink {
 /// paper's SA-LSH and all baselines), so the evaluation harness can sweep
 /// them uniformly.
 ///
-/// The streaming Run(dataset, sink) is the primary virtual: techniques emit
-/// each block as it is built and poll sink.Done() to stop early. The
-/// materializing Run(dataset) wrapper is deprecated (removal after one
-/// release): collect explicitly through a BlockCollection sink instead, so
-/// the call site states where materialization happens.
+/// Run(dataset, sink) is the one entry point: techniques emit each block
+/// as it is built and poll sink.Done() to stop early. Callers that want
+/// the blocks materialized pass a BlockCollection as the sink.
 class BlockingTechnique {
  public:
   virtual ~BlockingTechnique() = default;
@@ -75,11 +73,6 @@ class BlockingTechnique {
 
   /// Builds the blocks for a dataset, emitting each through `sink`.
   virtual void Run(const data::Dataset& dataset, BlockSink& sink) const = 0;
-
-  /// Builds and materializes all blocks (collecting-sink wrapper).
-  [[deprecated(
-      "collect through a BlockCollection sink: Run(dataset, collection)")]]
-  BlockCollection Run(const data::Dataset& dataset) const;
 };
 
 }  // namespace sablock::core

@@ -1,6 +1,7 @@
 #include "core/budget.h"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 
 #include "common/string_util.h"
@@ -43,6 +44,10 @@ Status ParseDouble(const std::string& term, std::string_view value,
     return Status::Error("budget term '" + term +
                          "': expected a number, got '" + text + "'");
   }
+  if (!std::isfinite(v)) {
+    return Status::Error("budget term '" + term +
+                         "': expected a finite number, got '" + text + "'");
+  }
   *out = v;
   return Status::Ok();
 }
@@ -82,6 +87,11 @@ Status Budget::Parse(const std::string& text, Budget* out) {
         if (!s.ok()) return s;
         if (budget.seconds <= 0.0) {
           return Status::Error("budget term 'seconds': must be > 0");
+        }
+        if (budget.seconds > kMaxSeconds) {
+          return Status::Error(
+              "budget term 'seconds': must be <= 1e9 (the steady_clock "
+              "range)");
         }
       } else if (key == "recall-target") {
         Status s = ParseDouble(key, value, &budget.recall_target);

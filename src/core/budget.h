@@ -1,6 +1,7 @@
 #ifndef SABLOCK_CORE_BUDGET_H_
 #define SABLOCK_CORE_BUDGET_H_
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -31,6 +32,11 @@ struct Budget {
   static constexpr uint64_t kUnlimitedPairs =
       std::numeric_limits<uint64_t>::max();
 
+  /// Largest accepted `seconds` (~31.7 years): far inside steady_clock's
+  /// nanosecond range, so the meter's deadline now() + seconds never
+  /// overflows.
+  static constexpr double kMaxSeconds = 1e9;
+
   uint64_t pairs = kUnlimitedPairs;
   double seconds = 0.0;        ///< 0 = no time limit
   double recall_target = 0.0;  ///< 0 = no recall limit
@@ -41,7 +47,9 @@ struct Budget {
 
   /// Parses "pairs=50000,seconds=1.5,recall-target=0.9" (any subset, any
   /// order; "inf"/"unlimited" accepted for pairs). Returns a diagnostic
-  /// naming the offending term on malformed input.
+  /// naming the offending term on malformed input: non-numbers,
+  /// non-finite or out-of-range values (seconds beyond kMaxSeconds,
+  /// recall-target outside (0, 1], pairs = 0).
   static StatusOr<Budget> Parse(const std::string& text);
 
   /// Out-parameter form for call sites on the Status convention.
@@ -53,14 +61,13 @@ struct Budget {
 };
 
 /// Shared, thread-safe countdown for one Budget: the atomic heart that
-/// lets any number of producers (sharded engine shards, concurrent
-/// streams) account against one global budget without an external mutex.
-/// This replaces the old pattern of wrapping CappedSink in a
-/// ConcurrentSink just to make its plain counters safe.
+/// lets any number of producers (several BudgetedSinks, the progressive
+/// stage, concurrent streams) account against one global budget without
+/// an external mutex.
 ///
-/// Semantics match CappedSink: the spend that crosses the limit is still
-/// accepted (the caller forwards its block/pair), so the total spent may
-/// overshoot by less than one spend unit per concurrent producer.
+/// The spend that crosses the limit is still accepted (the caller
+/// forwards its block/pair), so the total spent may overshoot by less
+/// than one spend unit per concurrent spender.
 class BudgetMeter {
  public:
   explicit BudgetMeter(Budget budget)
@@ -69,7 +76,8 @@ class BudgetMeter {
                       ? std::chrono::steady_clock::now() +
                             std::chrono::duration_cast<
                                 std::chrono::steady_clock::duration>(
-                                std::chrono::duration<double>(budget.seconds))
+                                std::chrono::duration<double>(std::min(
+                                    budget.seconds, Budget::kMaxSeconds)))
                       : std::chrono::steady_clock::time_point::max()) {}
 
   const Budget& budget() const { return budget_; }

@@ -28,7 +28,6 @@ class IterativeLshBlocker : public BlockingTechnique {
                       int iterations);
 
   std::string name() const override;
-  using BlockingTechnique::Run;
   void Run(const data::Dataset& dataset, BlockSink& sink) const override;
 
  private:

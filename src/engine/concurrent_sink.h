@@ -14,13 +14,14 @@ namespace sablock::engine {
 /// forwards to) observes a serial call sequence.
 ///
 /// This is the concurrency contract of the whole sink layer: sinks
-/// themselves (PairCountingSink, CappedSink, BlockCollection, ...) are NOT
-/// internally synchronized; concurrent producers must share one
+/// themselves (PairCountingSink, BudgetedSink, BlockCollection, ...) are
+/// NOT internally synchronized; concurrent producers must share one
 /// ConcurrentSink wrapping the chain. Because Done() also takes the mutex,
-/// a CappedSink's budget accounting stays exact — a producer that observes
-/// Done()==false may still lose the race for the next Consume(), but the
-/// crossing block is accounted atomically and later blocks are dropped and
-/// counted by the CappedSink, exactly as in the single-threaded case.
+/// a wrapped BudgetedSink's accounting stays exact — a producer that
+/// observes Done()==false may still lose the race for the next Consume(),
+/// but the crossing block is accounted once and later blocks are dropped
+/// and counted by the BudgetedSink, exactly as in the single-threaded
+/// case.
 class ConcurrentSink : public core::BlockSink {
  public:
   explicit ConcurrentSink(core::BlockSink& inner) : inner_(&inner) {}

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <optional>
 
 #include "common/check.h"
 #include "common/timer.h"
@@ -41,11 +42,13 @@ class TimedSink : public core::BlockSink {
   double seconds_ = 0.0;
 };
 
-PipelineResult RunPipelineImpl(const core::BlockingTechnique& blocker,
-                               const pipeline::Pipeline& stages,
-                               const data::Dataset& dataset,
-                               const engine::ExecutionSpec* spec,
-                               bool evaluate) {
+}  // namespace
+
+PipelineResult RunPipeline(const core::BlockingTechnique& blocker,
+                           const pipeline::Pipeline& stages,
+                           const data::Dataset& dataset, bool evaluate,
+                           const engine::ExecutionSpec& spec,
+                           std::shared_ptr<core::BudgetMeter> meter) {
   PipelineResult result;
   result.name = blocker.name();
   if (!stages.empty()) result.name += " | " + stages.name();
@@ -56,7 +59,7 @@ PipelineResult RunPipelineImpl(const core::BlockingTechnique& blocker,
 
   // Instrumented chain, wired back-to-front:
   //   blocker -> [count0 timed0] -> stage1 -> [count1 timed1] -> ... ->
-  //   stageN -> [countN timedN] -> final
+  //   stageN -> [countN timedN] -> [budget gate] -> final
   // count_k observes the stream emitted by step k; timed_k measures
   // everything downstream of step k, so step k's exclusive time is
   // timed_{k-1} - timed_k (and the generator's is total - timed_0).
@@ -65,7 +68,9 @@ PipelineResult RunPipelineImpl(const core::BlockingTechnique& blocker,
   std::vector<std::unique_ptr<TimedSink>> timers(num_stages + 1);
   std::vector<std::unique_ptr<core::PairCountingSink>> counters(
       num_stages + 1);
+  std::optional<core::BudgetedSink> budgeted;
   core::BlockSink* next = &result.blocks;
+  if (meter != nullptr) next = &budgeted.emplace(result.blocks, meter);
   for (size_t k = num_stages + 1; k-- > 0;) {
     timers[k] = std::make_unique<TimedSink>(*next);
     counters[k] = std::make_unique<core::PairCountingSink>(*timers[k]);
@@ -77,11 +82,7 @@ PipelineResult RunPipelineImpl(const core::BlockingTechnique& blocker,
   core::BlockSink& head = *counters[0];
 
   WallTimer timer;
-  if (spec != nullptr) {
-    engine::ShardedExecutor(*spec).Execute(blocker, cold, head);
-  } else {
-    blocker.Run(cold, head);
-  }
+  engine::ShardedExecutor(spec).Execute(blocker, cold, head);
   head.Flush();
   result.seconds = timer.Seconds();
 
@@ -102,50 +103,21 @@ PipelineResult RunPipelineImpl(const core::BlockingTechnique& blocker,
   return result;
 }
 
-}  // namespace
-
-PipelineResult RunPipeline(const core::BlockingTechnique& blocker,
-                           const pipeline::Pipeline& stages,
-                           const data::Dataset& dataset, bool evaluate) {
-  return RunPipelineImpl(blocker, stages, dataset, nullptr, evaluate);
-}
-
-PipelineResult RunPipelineSharded(const core::BlockingTechnique& blocker,
-                                  const pipeline::Pipeline& stages,
-                                  const data::Dataset& dataset,
-                                  const engine::ExecutionSpec& spec,
-                                  bool evaluate) {
-  return RunPipelineImpl(blocker, stages, dataset, &spec, evaluate);
-}
-
 TechniqueResult RunTechnique(const core::BlockingTechnique& technique,
-                             const data::Dataset& dataset) {
+                             const data::Dataset& dataset,
+                             const engine::ExecutionSpec& spec) {
   TechniqueResult result;
   result.name = technique.name();
   // Time against a detached feature cache: the harness exists to compare
   // techniques, and a shared warm FeatureStore would bias the time column
   // toward whichever technique runs later (cache reuse is benchmarked
-  // explicitly in the micro scenario, not implicitly here).
+  // explicitly in the micro scenario, not implicitly here). The shards of
+  // a sharded run still share one feature build through the cold copy's
+  // own store.
   data::Dataset cold = dataset.ColdCopy();
   sablock::WallTimer timer;
   core::BlockCollection blocks;
-  technique.Run(cold, blocks);
-  result.seconds = timer.Seconds();
-  result.metrics = Evaluate(dataset, blocks);
-  return result;
-}
-
-TechniqueResult RunTechniqueSharded(const core::BlockingTechnique& technique,
-                                    const data::Dataset& dataset,
-                                    const engine::ExecutionSpec& spec) {
-  TechniqueResult result;
-  result.name = technique.name();
-  engine::ShardedExecutor executor(spec);
-  // Same cold-path timing as RunTechnique; the run's shards still share
-  // one feature build through the cold copy's own store.
-  data::Dataset cold = dataset.ColdCopy();
-  sablock::WallTimer timer;
-  core::BlockCollection blocks = executor.ExecuteCollect(technique, cold);
+  engine::ShardedExecutor(spec).Execute(technique, cold, blocks);
   result.seconds = timer.Seconds();
   result.metrics = Evaluate(dataset, blocks);
   return result;

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/blocking.h"
+#include "core/budget.h"
 #include "engine/execution_spec.h"
 #include "eval/metrics.h"
 #include "pipeline/pipeline.h"
@@ -20,21 +21,16 @@ struct TechniqueResult {
   double seconds = 0.0;
 };
 
-/// Runs a technique, timing block construction (the Table 3 "Time" column
-/// measures block building only, as in the paper). Timing is cold-path:
-/// the technique runs against a detached feature cache (Dataset::ColdCopy)
-/// so the reported seconds are end-to-end and independent of which
-/// technique the harness happened to run first.
-TechniqueResult RunTechnique(const core::BlockingTechnique& technique,
-                             const data::Dataset& dataset);
-
 /// Runs a technique through the sharded execution engine under `spec`,
-/// timing the sharded block construction (slice + per-shard runs + merge).
-/// With spec {threads=1, shards=1} this is RunTechnique through the
-/// engine's fast path.
-TechniqueResult RunTechniqueSharded(const core::BlockingTechnique& technique,
-                                    const data::Dataset& dataset,
-                                    const engine::ExecutionSpec& spec);
+/// timing block construction (the Table 3 "Time" column measures block
+/// building only, as in the paper). The default spec is one shard, which
+/// is exactly technique.Run(dataset, sink). Timing is cold-path: the
+/// technique runs against a detached feature cache (Dataset::ColdCopy) so
+/// the reported seconds are end-to-end and independent of which technique
+/// the harness happened to run first.
+TechniqueResult RunTechnique(const core::BlockingTechnique& technique,
+                             const data::Dataset& dataset,
+                             const engine::ExecutionSpec& spec = {});
 
 /// Observed block stream at one point of a pipeline — what one step
 /// (the generator, or one stage) emitted, plus the wall time spent
@@ -65,19 +61,20 @@ struct PipelineResult {
 /// quality-metrics pass (a distinct-pair scan over the final blocks,
 /// wasted work on all but the last of a timing loop's repetitions) and
 /// leaves `metrics` default.
+///
+/// The generator runs through the sharded engine under `spec` (default:
+/// one shard, the plain Run); the stage chain runs once, globally, and is
+/// flushed after every shard has finished, so barrier stages fire at
+/// merge. A non-null `meter` gates what reaches `blocks` through a
+/// core::BudgetedSink after the last stage: barrier stages still see the
+/// full stream, and Done() backpressure reaches the generator. The
+/// per-step counts report what each step emitted, before the gate.
 PipelineResult RunPipeline(const core::BlockingTechnique& blocker,
                            const pipeline::Pipeline& stages,
                            const data::Dataset& dataset,
-                           bool evaluate = true);
-
-/// RunPipeline with the generator executed by the sharded engine under
-/// `spec`; the stage chain runs once, globally, with barrier stages
-/// firing at merge (ShardedExecutor::ExecutePipeline semantics).
-PipelineResult RunPipelineSharded(const core::BlockingTechnique& blocker,
-                                  const pipeline::Pipeline& stages,
-                                  const data::Dataset& dataset,
-                                  const engine::ExecutionSpec& spec,
-                                  bool evaluate = true);
+                           bool evaluate = true,
+                           const engine::ExecutionSpec& spec = {},
+                           std::shared_ptr<core::BudgetMeter> meter = nullptr);
 
 /// Runs every setting and returns all results.
 std::vector<TechniqueResult> RunAll(

@@ -53,10 +53,10 @@ std::vector<double> DefaultRecallFractions() {
   return {0.01, 0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 0.75, 1.0};
 }
 
-RecallCurve RecallAtBudget(const data::Dataset& dataset,
-                           const std::vector<core::CandidatePair>& ordered,
-                           uint64_t budget_pairs,
-                           const std::vector<double>& fractions) {
+RecallCurve RecallAtBudget(
+    const data::Dataset& dataset,
+    const std::vector<progressive::CandidatePair>& ordered,
+    uint64_t budget_pairs, const std::vector<double>& fractions) {
   RecallCurve curve;
   curve.budget_pairs =
       std::min<uint64_t>(budget_pairs, ordered.size());
@@ -71,7 +71,7 @@ RecallCurve RecallAtBudget(const data::Dataset& dataset,
         fraction * static_cast<double>(curve.budget_pairs) + 0.5);
     limit = std::min<uint64_t>(limit, curve.budget_pairs);
     while (walked < limit) {
-      const core::CandidatePair& pair = ordered[walked];
+      const progressive::CandidatePair& pair = ordered[walked];
       if (dataset.IsMatch(pair.a, pair.b)) ++found;
       ++walked;
     }

@@ -6,8 +6,8 @@
 #include <vector>
 
 #include "core/blocking.h"
-#include "core/pair_sink.h"
 #include "data/record.h"
+#include "progressive/scheduler.h"
 
 namespace sablock::eval {
 
@@ -70,10 +70,10 @@ std::vector<double> DefaultRecallFractions();
 /// Walks `ordered` (a scheduler's best-first emission) and samples recall
 /// against `dataset`'s ground truth at each fraction of `budget_pairs`
 /// (capped at ordered.size()). Fractions must be ascending in (0, 1].
-RecallCurve RecallAtBudget(const data::Dataset& dataset,
-                           const std::vector<core::CandidatePair>& ordered,
-                           uint64_t budget_pairs,
-                           const std::vector<double>& fractions);
+RecallCurve RecallAtBudget(
+    const data::Dataset& dataset,
+    const std::vector<progressive::CandidatePair>& ordered,
+    uint64_t budget_pairs, const std::vector<double>& fractions);
 
 /// One-line human-readable rendering: "PC=0.97 PQ=0.42 RR=0.99 FM=0.59".
 std::string Summary(const Metrics& m);

@@ -127,7 +127,6 @@ class PipelinedBlocker : public core::BlockingTechnique {
       : blocker_(std::move(blocker)), stages_(std::move(stages)) {}
 
   std::string name() const override;
-  using core::BlockingTechnique::Run;
   void Run(const data::Dataset& dataset,
            core::BlockSink& sink) const override {
     stages_.Run(*blocker_, dataset, sink);

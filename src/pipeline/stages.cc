@@ -187,20 +187,18 @@ void RegisterBuiltinStages(StageRegistry& r) {
         {"seed", "42", "shuffle seed for sched=random"}}},
       [](api::ParamMap& p, std::unique_ptr<PipelineStage>* out) {
         std::string sched = p.GetString("sched", "ew-cbs");
-        core::Budget budget;
-        budget.pairs = p.GetUint64("pairs", core::Budget::kUnlimitedPairs);
-        budget.seconds = p.GetDouble("seconds", 0.0);
-        budget.recall_target = p.GetDouble("recall-target", 0.0);
         uint64_t seed = p.GetUint64("seed", 42);
-        if (budget.pairs < 1) {
-          return Status::Error("param 'pairs': must be >= 1");
+        // The budget parameters are core::Budget terms: rejoin them and
+        // let Budget::Parse own every range check.
+        std::string budget_text;
+        for (const char* term : {"pairs", "seconds", "recall-target"}) {
+          if (!p.Has(term)) continue;
+          if (!budget_text.empty()) budget_text += ',';
+          budget_text += std::string(term) + "=" + p.GetString(term, "");
         }
-        if (budget.seconds < 0.0) {
-          return Status::Error("param 'seconds': must be > 0");
-        }
-        if (budget.recall_target < 0.0 || budget.recall_target > 1.0) {
-          return Status::Error("param 'recall-target': must be in (0, 1]");
-        }
+        core::Budget budget;
+        Status budget_status = core::Budget::Parse(budget_text, &budget);
+        if (!budget_status.ok()) return budget_status;
         std::unique_ptr<progressive::PairScheduler> scheduler;
         Status status = progressive::MakeScheduler(sched, seed, &scheduler);
         if (!status.ok()) return status;

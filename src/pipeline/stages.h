@@ -73,13 +73,12 @@ class FilterStage : public PipelineStage {
   std::vector<core::Block> buffered_;  // barrier mode only
 };
 
-/// `cap:budget=` — comparison budget (streaming): core::CappedSink as a
-/// pipeline stage. Forwards blocks until `budget` redundancy-counting
-/// comparisons Σ|b|(|b|-1)/2 have passed, then reports Done so the
-/// producing technique stops early; the block crossing the budget is
-/// still forwarded. The budget accounting itself is delegated to a
-/// CappedSink over the downstream sink (created on first use, since the
-/// downstream sink is only known after Attach).
+/// `cap:budget=` — comparison budget (streaming): a core::BudgetedSink
+/// over a private `pairs=budget` meter, as a pipeline stage. Forwards
+/// blocks until `budget` redundancy-counting comparisons Σ|b|(|b|-1)/2
+/// have passed, then reports Done so the producing technique stops early;
+/// the block crossing the budget is still forwarded. The gate is created
+/// on first use, since the downstream sink is only known after Attach.
 class CapStage : public PipelineStage {
  public:
   explicit CapStage(uint64_t budget) : budget_(budget) {}
@@ -92,26 +91,27 @@ class CapStage : public PipelineStage {
   }
 
   void Consume(core::Block block) override {
-    if (!capped_) capped_.emplace(*next_, budget_);
-    capped_->Consume(std::move(block));
+    if (!gate_) {
+      gate_.emplace(*next_, std::make_shared<core::BudgetMeter>(
+                                core::Budget{.pairs = budget_}));
+    }
+    gate_->Consume(std::move(block));
   }
 
   bool Done() const override {
-    return (capped_ && capped_->Done()) || next_->Done();
+    return (gate_ && gate_->Done()) || next_->Done();
   }
 
   /// Comparisons forwarded so far.
-  uint64_t comparisons() const {
-    return capped_ ? capped_->comparisons() : 0;
-  }
+  uint64_t comparisons() const { return gate_ ? gate_->meter()->Spent() : 0; }
   /// Blocks received after the budget was exhausted.
   uint64_t dropped_blocks() const {
-    return capped_ ? capped_->dropped_blocks() : 0;
+    return gate_ ? gate_->dropped_blocks() : 0;
   }
 
  private:
   uint64_t budget_;
-  std::optional<core::CappedSink> capped_;
+  std::optional<core::BudgetedSink> gate_;
 };
 
 /// `meta:weight=,prune=` — meta-blocking's graph phase as a barrier

@@ -23,7 +23,7 @@ void ProgressiveStage::Flush() {
   for (core::Block& block : buffered_) input.Add(std::move(block));
   buffered_.clear();
 
-  std::vector<core::CandidatePair> ranked =
+  std::vector<CandidatePair> ranked =
       scheduler_->Schedule(dataset_->size(), input);
 
   if (meter_ == nullptr) {
@@ -35,7 +35,7 @@ void ProgressiveStage::Flush() {
   }
 
   pairs_emitted_ = 0;
-  for (const core::CandidatePair& pair : ranked) {
+  for (const CandidatePair& pair : ranked) {
     if (next_->Done() || !meter_->Spend(1)) break;
     next_->Consume(core::Block{pair.a, pair.b});
     ++pairs_emitted_;

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "core/budget.h"
-#include "core/pair_sink.h"
 #include "pipeline/stage.h"
 #include "progressive/scheduler.h"
 

@@ -17,7 +17,7 @@ uint64_t PackPair(uint32_t a, uint32_t b) {
   return (static_cast<uint64_t>(a) << 32) | b;
 }
 
-core::CandidatePair Unpack(uint64_t key, double score) {
+CandidatePair Unpack(uint64_t key, double score) {
   return {static_cast<uint32_t>(key >> 32),
           static_cast<uint32_t>(key & 0xffffffffULL), score};
 }
@@ -26,11 +26,11 @@ core::CandidatePair Unpack(uint64_t key, double score) {
 /// each block's pairs lexicographically and emitting every pair the
 /// first time it is seen. Shared by the block-driven schedulers.
 template <typename ScoreFn>
-std::vector<core::CandidatePair> EmitFirstSeen(
+std::vector<CandidatePair> EmitFirstSeen(
     const core::BlockCollection& input, const std::vector<size_t>& order,
     ScoreFn&& score_of) {
   PairSet seen(std::min<uint64_t>(input.TotalComparisons() + 1, 1ULL << 22));
-  std::vector<core::CandidatePair> out;
+  std::vector<CandidatePair> out;
   for (size_t index : order) {
     const core::Block& b = input.blocks()[index];
     for (size_t i = 0; i < b.size(); ++i) {
@@ -59,7 +59,7 @@ class BlockSizeAscendingScheduler : public PairScheduler {
  public:
   std::string name() const override { return "bsa"; }
 
-  std::vector<core::CandidatePair> Schedule(
+  std::vector<CandidatePair> Schedule(
       size_t /*num_records*/,
       const core::BlockCollection& input) const override {
     std::vector<size_t> order = IdentityOrder(input.NumBlocks());
@@ -92,7 +92,7 @@ class EdgeWeightScheduler : public PairScheduler {
     return "ew-?";
   }
 
-  std::vector<core::CandidatePair> Schedule(
+  std::vector<CandidatePair> Schedule(
       size_t num_records, const core::BlockCollection& input) const override {
     std::vector<pipeline::WeightedPair> weighted =
         pipeline::WeightPairs(num_records, input, weighting_);
@@ -102,7 +102,7 @@ class EdgeWeightScheduler : public PairScheduler {
                 if (x.weight != y.weight) return x.weight > y.weight;
                 return x.key < y.key;
               });
-    std::vector<core::CandidatePair> out;
+    std::vector<CandidatePair> out;
     out.reserve(weighted.size());
     for (const pipeline::WeightedPair& e : weighted) {
       out.push_back(Unpack(e.key, e.weight));
@@ -122,7 +122,7 @@ class RoundRobinScheduler : public PairScheduler {
  public:
   std::string name() const override { return "rr"; }
 
-  std::vector<core::CandidatePair> Schedule(
+  std::vector<CandidatePair> Schedule(
       size_t /*num_records*/,
       const core::BlockCollection& input) const override {
     // Per-block lexicographic pair cursors; one pass per round.
@@ -134,7 +134,7 @@ class RoundRobinScheduler : public PairScheduler {
     std::vector<Cursor> cursors(blocks.size());
     PairSet seen(
         std::min<uint64_t>(input.TotalComparisons() + 1, 1ULL << 22));
-    std::vector<core::CandidatePair> out;
+    std::vector<CandidatePair> out;
     bool emitted = true;
     for (uint64_t round = 0; emitted; ++round) {
       emitted = false;
@@ -172,10 +172,10 @@ class RandomScheduler : public PairScheduler {
 
   std::string name() const override { return "random"; }
 
-  std::vector<core::CandidatePair> Schedule(
+  std::vector<CandidatePair> Schedule(
       size_t /*num_records*/,
       const core::BlockCollection& input) const override {
-    std::vector<core::CandidatePair> pairs = EmitFirstSeen(
+    std::vector<CandidatePair> pairs = EmitFirstSeen(
         input, IdentityOrder(input.NumBlocks()),
         [](const core::Block&) { return 0.0; });
     std::mt19937_64 rng(seed_);

@@ -8,9 +8,21 @@
 
 #include "common/status.h"
 #include "core/blocking.h"
-#include "core/pair_sink.h"
+#include "data/record.h"
 
 namespace sablock::progressive {
+
+/// One scored candidate comparison: a record pair and the scheduler's
+/// priority for it (higher = compare sooner). Pairs are normalized a < b.
+struct CandidatePair {
+  data::RecordId a = 0;
+  data::RecordId b = 0;
+  double score = 0.0;
+
+  friend bool operator==(const CandidatePair& x, const CandidatePair& y) {
+    return x.a == y.a && x.b == y.b;
+  }
+};
 
 /// Orders the distinct candidate pairs of a block collection best-first —
 /// the prioritization heart of progressive blocking (Galhotra et al.):
@@ -32,7 +44,7 @@ class PairScheduler {
   /// Returns every distinct candidate pair of `input` (record ids in
   /// [0, num_records)), ordered best-first with scores non-increasing in
   /// meaning (higher score = compare sooner).
-  virtual std::vector<core::CandidatePair> Schedule(
+  virtual std::vector<CandidatePair> Schedule(
       size_t num_records, const core::BlockCollection& input) const = 0;
 };
 

@@ -1,5 +1,5 @@
 // Tests for the streaming BlockSink API: collecting/counting equivalence
-// and early termination through CappedSink's comparison budget.
+// and early termination through a BudgetedSink's comparison budget.
 
 #include <gtest/gtest.h>
 
@@ -9,6 +9,7 @@
 #include "api/registry.h"
 #include "core/block_sink.h"
 #include "core/blocking.h"
+#include "core/budget.h"
 #include "data/record.h"
 
 namespace sablock::core {
@@ -30,37 +31,15 @@ Dataset ManyNamesDataset(size_t n = 64) {
   return d;
 }
 
+std::shared_ptr<BudgetMeter> PairsMeter(uint64_t pairs) {
+  return std::make_shared<BudgetMeter>(Budget{.pairs = pairs});
+}
+
 std::unique_ptr<BlockingTechnique> Make(const std::string& spec) {
   std::unique_ptr<BlockingTechnique> technique;
   Status status = api::BlockerRegistry::Global().Create(spec, &technique);
   EXPECT_TRUE(status.ok()) << status.message();
   return technique;
-}
-
-// Sink that records the order of arrival, for equivalence checks.
-class RecordingSink : public BlockSink {
- public:
-  void Consume(Block block) override { blocks_.push_back(std::move(block)); }
-  const std::vector<Block>& blocks() const { return blocks_; }
-
- private:
-  std::vector<Block> blocks_;
-};
-
-TEST(BlockSinkTest, CollectingWrapperMatchesStreamingRun) {
-  Dataset d = ManyNamesDataset();
-  std::unique_ptr<BlockingTechnique> technique = Make("sor-a:attrs=name");
-
-  // The deprecated wrapper stays covered until its removal; every other
-  // call site collects through a sink.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  BlockCollection wrapped = technique->Run(d);
-#pragma GCC diagnostic pop
-  RecordingSink streamed;
-  technique->Run(d, streamed);
-  ASSERT_EQ(wrapped.NumBlocks(), streamed.blocks().size());
-  EXPECT_EQ(wrapped.blocks(), streamed.blocks());
 }
 
 TEST(BlockSinkTest, PairCountingSinkMatchesCollection) {
@@ -78,7 +57,7 @@ TEST(BlockSinkTest, PairCountingSinkMatchesCollection) {
   EXPECT_EQ(counted.max_block_size(), collected.MaxBlockSize());
 }
 
-TEST(CappedSinkTest, StopsTheTechniqueAtTheComparisonBudget) {
+TEST(BudgetedSinkTest, StopsTheTechniqueAtTheComparisonBudget) {
   Dataset d = ManyNamesDataset();
   std::unique_ptr<BlockingTechnique> technique =
       Make("sor-a:window=3,attrs=name");
@@ -88,42 +67,42 @@ TEST(CappedSinkTest, StopsTheTechniqueAtTheComparisonBudget) {
   ASSERT_GT(full.TotalComparisons(), 50u);
 
   BlockCollection capped_out;
-  CappedSink capped(capped_out, /*comparison_budget=*/20);
+  BudgetedSink capped(capped_out, PairsMeter(20));
   technique->Run(d, capped);
 
   EXPECT_TRUE(capped.Done());
   // The budget is enforced up to the block that crosses it (window=3 blocks
   // carry 3 comparisons each).
-  EXPECT_GE(capped.comparisons(), 20u);
-  EXPECT_LT(capped.comparisons(), 20u + 3);
-  EXPECT_EQ(capped_out.TotalComparisons(), capped.comparisons());
+  EXPECT_GE(capped.meter()->Spent(), 20u);
+  EXPECT_LT(capped.meter()->Spent(), 20u + 3);
+  EXPECT_EQ(capped_out.TotalComparisons(), capped.meter()->Spent());
   // Early termination, not post-hoc filtering: the technique saw Done()
   // and emitted nothing more.
   EXPECT_EQ(capped.dropped_blocks(), 0u);
   EXPECT_LT(capped_out.NumBlocks(), full.NumBlocks());
 }
 
-TEST(CappedSinkTest, EveryRegisteredTechniqueHonoursTheBudget) {
+TEST(BudgetedSinkTest, EveryRegisteredTechniqueHonoursTheBudget) {
   Dataset d = ManyNamesDataset(48);
   for (const api::BlockerInfo& info :
        api::BlockerRegistry::Global().List()) {
     std::string spec = info.name + ":attrs=name";
     std::unique_ptr<BlockingTechnique> technique = Make(spec);
     BlockCollection out;
-    CappedSink capped(out, /*comparison_budget=*/10);
+    BudgetedSink capped(out, PairsMeter(10));
     technique->Run(d, capped);
     // Whatever the technique, the collected output never exceeds the
     // budget by more than its final block.
-    EXPECT_EQ(out.TotalComparisons(), capped.comparisons()) << spec;
+    EXPECT_EQ(out.TotalComparisons(), capped.meter()->Spent()) << spec;
     if (out.NumBlocks() > 1) {
       uint64_t last = out.blocks().back().size();
-      EXPECT_LT(capped.comparisons(), 10u + last * (last - 1) / 2 + 1)
+      EXPECT_LT(capped.meter()->Spent(), 10u + last * (last - 1) / 2 + 1)
           << spec;
     }
   }
 }
 
-TEST(CappedSinkTest, GenerousBudgetChangesNothing) {
+TEST(BudgetedSinkTest, GenerousBudgetChangesNothing) {
   Dataset d = ManyNamesDataset();
   std::unique_ptr<BlockingTechnique> technique =
       Make("sor-a:window=3,attrs=name");
@@ -131,7 +110,7 @@ TEST(CappedSinkTest, GenerousBudgetChangesNothing) {
   BlockCollection full;
   technique->Run(d, full);
   BlockCollection capped_out;
-  CappedSink capped(capped_out, /*comparison_budget=*/1u << 30);
+  BudgetedSink capped(capped_out, PairsMeter(1u << 30));
   technique->Run(d, capped);
   EXPECT_FALSE(capped.Done());
   EXPECT_EQ(capped_out.NumBlocks(), full.NumBlocks());
@@ -143,7 +122,7 @@ TEST(BlockCollectionTest, DrainMovesBlocksAndRespectsDone) {
   for (uint32_t i = 0; i < 10; ++i) source.Add({i, i + 1});
 
   BlockCollection sink_out;
-  CappedSink capped(sink_out, /*comparison_budget=*/3);
+  BudgetedSink capped(sink_out, PairsMeter(3));
   source.Drain(capped);
   EXPECT_EQ(source.NumBlocks(), 0u);  // drained
   EXPECT_EQ(sink_out.NumBlocks(), 3u);

@@ -12,7 +12,6 @@
 #include "core/block_sink.h"
 #include "core/blocking.h"
 #include "core/budget.h"
-#include "core/pair_sink.h"
 
 namespace sablock::core {
 namespace {
@@ -82,6 +81,33 @@ TEST(BudgetTest, DiagnosticsNameTheOffendingTerm) {
             std::string::npos);
   EXPECT_NE(ParseError("pairs=1,,seconds=1").find("empty term"),
             std::string::npos);
+  // Non-finite and out-of-range numbers: each names its term instead of
+  // yielding a budget that is exhausted at birth or silently unlimited.
+  EXPECT_NE(ParseError("seconds=inf").find("'seconds': expected a finite"),
+            std::string::npos);
+  EXPECT_NE(ParseError("seconds=nan").find("'seconds': expected a finite"),
+            std::string::npos);
+  EXPECT_NE(ParseError("seconds=1e300").find("'seconds': must be <= 1e9"),
+            std::string::npos);
+  EXPECT_NE(ParseError("seconds=1e400").find("'seconds'"), std::string::npos);
+  EXPECT_NE(ParseError("recall-target=nan")
+                .find("'recall-target': expected a finite"),
+            std::string::npos);
+  EXPECT_NE(ParseError("recall-target=inf")
+                .find("'recall-target': expected a finite"),
+            std::string::npos);
+  EXPECT_NE(ParseError("pairs=99999999999999999999999").find("'pairs'"),
+            std::string::npos);
+}
+
+TEST(BudgetTest, LargestAcceptedSecondsLeavesTheMeterRunning) {
+  BudgetMeter meter(MustParse("seconds=1e9"));
+  EXPECT_FALSE(meter.Exhausted());
+  EXPECT_TRUE(meter.Spend(1));
+  // A Budget built in code skips Parse; the meter clamps its deadline
+  // instead of overflowing into the past.
+  BudgetMeter huge(Budget{.seconds = 1e300});
+  EXPECT_FALSE(huge.Exhausted());
 }
 
 TEST(BudgetMeterTest, CrossingSpendIsAcceptedThenExhausted) {
@@ -99,7 +125,7 @@ TEST(BudgetMeterTest, CrossingSpendIsAcceptedThenExhausted) {
 }
 
 TEST(BudgetMeterTest, OversizedSpendIsAcceptedOnce) {
-  // CappedSink semantics: the block that crosses the budget is still
+  // BudgetedSink semantics: the block that crosses the budget is still
   // forwarded, however large.
   BudgetMeter meter(MustParse("pairs=5"));
   EXPECT_TRUE(meter.Spend(100));
@@ -148,9 +174,9 @@ TEST(BudgetMeterTest, UnconfiguredRecallNeverTrips) {
   EXPECT_FALSE(meter.Exhausted());
 }
 
-// The concurrency contract that replaces ConcurrentSink-wrapped
-// CappedSinks: many threads share one meter with no external lock, and
-// the accepted total overshoots by at most one crossing spend per thread.
+// The meter's own concurrency contract: many threads share one meter
+// with no external lock, and the accepted total overshoots by at most one
+// crossing spend per thread.
 TEST(BudgetMeterTest, SharedMeterAcrossThreadsBoundsOvershoot) {
   constexpr int kThreads = 8;
   constexpr uint64_t kBudget = 1000;
@@ -187,31 +213,6 @@ TEST(BudgetedSinkTest, SharesOneMeterAcrossSinks) {
   EXPECT_EQ(out_b.NumBlocks(), 1u);
   EXPECT_EQ(b.dropped_blocks(), 1u);
   EXPECT_EQ(meter->Spent(), 6u);
-}
-
-TEST(BudgetedPairSinkTest, GatesThePairStream) {
-  auto meter = std::make_shared<BudgetMeter>(MustParse("pairs=3"));
-  PairCollector collected;
-  BudgetedPairSink gated(collected, meter);
-  for (uint32_t i = 0; i < 5; ++i) {
-    gated.Emit({i, i + 1, 1.0 / (i + 1)});
-  }
-  EXPECT_EQ(collected.pairs().size(), 3u);
-  EXPECT_EQ(gated.dropped_pairs(), 2u);
-  EXPECT_TRUE(gated.Done());
-}
-
-TEST(CappedSinkShimTest, MatchesTheOldComparisonCapBehaviour) {
-  BlockCollection out;
-  CappedSink capped(out, /*comparison_budget=*/3);
-  capped.Consume(Block{0, 1});      // 1 comparison
-  capped.Consume(Block{2, 3, 4});   // 3 more: crossing, forwarded
-  EXPECT_TRUE(capped.Done());
-  capped.Consume(Block{5, 6});      // refused
-  EXPECT_EQ(out.NumBlocks(), 2u);
-  EXPECT_EQ(capped.comparisons(), 4u);
-  EXPECT_EQ(capped.comparisons(), capped.meter()->Spent());
-  EXPECT_EQ(capped.dropped_blocks(), 1u);
 }
 
 }  // namespace

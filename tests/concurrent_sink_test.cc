@@ -1,11 +1,13 @@
 #include "engine/concurrent_sink.h"
 
 #include <atomic>
+#include <memory>
 #include <thread>
 #include <vector>
 
 #include "core/block_sink.h"
 #include "core/blocking.h"
+#include "core/budget.h"
 #include "engine/thread_pool.h"
 #include "gtest/gtest.h"
 
@@ -14,8 +16,14 @@ namespace {
 
 using core::Block;
 using core::BlockCollection;
-using core::CappedSink;
+using core::Budget;
+using core::BudgetedSink;
+using core::BudgetMeter;
 using core::PairCountingSink;
+
+std::shared_ptr<BudgetMeter> PairsMeter(uint64_t pairs) {
+  return std::make_shared<BudgetMeter>(Budget{.pairs = pairs});
+}
 
 TEST(ConcurrentSinkTest, ForwardsBlocksAndDone) {
   PairCountingSink counting;
@@ -54,24 +62,24 @@ TEST(ConcurrentSinkTest, CountsAreExactUnderConcurrentProducers) {
 
 TEST(ConcurrentSinkTest, DonePropagatesFromInnerSink) {
   BlockCollection collection;
-  CappedSink capped(collection, /*comparison_budget=*/1);
+  BudgetedSink capped(collection, PairsMeter(1));
   ConcurrentSink sink(capped);
   EXPECT_FALSE(sink.Done());
   sink.Consume({1, 2});
   EXPECT_TRUE(sink.Done());
 }
 
-// The CappedSink contract under concurrency (see block_sink.h): wrapped
+// The BudgetedSink contract under concurrency (see block_sink.h): wrapped
 // in a ConcurrentSink, budget accounting stays exact — the forwarded
 // comparison total equals the budget (when blocks carry one comparison
 // each), the inner sink receives exactly those blocks, and every block
 // consumed after the done_ transition is counted as dropped.
-TEST(ConcurrentSinkTest, CappedSinkBudgetIsExactUnderConcurrentProducers) {
+TEST(ConcurrentSinkTest, BudgetedSinkIsExactUnderConcurrentProducers) {
   constexpr uint64_t kBudget = 500;
   constexpr int kThreads = 8;
   constexpr int kBlocksPerThread = 1000;  // 8000 offered >> 500 budget
   BlockCollection collection;
-  CappedSink capped(collection, kBudget);
+  BudgetedSink capped(collection, PairsMeter(kBudget));
   ConcurrentSink sink(capped);
   std::atomic<uint64_t> offered{0};
   {
@@ -90,7 +98,7 @@ TEST(ConcurrentSinkTest, CappedSinkBudgetIsExactUnderConcurrentProducers) {
     }
     pool.Wait();
   }
-  EXPECT_EQ(capped.comparisons(), kBudget);
+  EXPECT_EQ(capped.meter()->Spent(), kBudget);
   EXPECT_EQ(collection.NumBlocks(), kBudget);
   EXPECT_EQ(collection.TotalComparisons(), kBudget);
   // Everything offered either made it into the collection or was dropped
@@ -108,7 +116,7 @@ TEST(OffsetSinkTest, TranslatesShardLocalIds) {
 
 TEST(OffsetSinkTest, PropagatesDone) {
   BlockCollection collection;
-  CappedSink capped(collection, 1);
+  BudgetedSink capped(collection, PairsMeter(1));
   OffsetSink sink(capped, 10);
   EXPECT_FALSE(sink.Done());
   sink.Consume({0, 1});

@@ -9,6 +9,7 @@
 #include "common/check.h"
 #include "core/block_sink.h"
 #include "core/blocking.h"
+#include "core/budget.h"
 #include "data/voter_generator.h"
 #include "engine/execution_spec.h"
 #include "eval/harness.h"
@@ -37,6 +38,23 @@ std::unique_ptr<BlockingTechnique> FromSpec(const std::string& spec) {
   // instead of a null dereference in the calling test.
   SABLOCK_CHECK_MSG(status.ok(), status.message().c_str());
   return technique;
+}
+
+BlockCollection Collect(const ExecutionSpec& spec,
+                        const BlockingTechnique& technique,
+                        const data::Dataset& dataset) {
+  BlockCollection out;
+  ShardedExecutor(spec).Execute(technique, dataset, out);
+  return out;
+}
+
+std::shared_ptr<core::BudgetMeter> PairsMeter(uint64_t pairs) {
+  return std::make_shared<core::BudgetMeter>(core::Budget{.pairs = pairs});
+}
+
+uint64_t MaxBlockComparisons(const BlockCollection& collection) {
+  const uint64_t n = collection.MaxBlockSize();
+  return n * (n - 1) / 2;
 }
 
 std::vector<Block> SortedBlocks(const BlockCollection& collection) {
@@ -133,7 +151,7 @@ TEST(ShardedExecutorTest, SingleShardMatchesDirectRun) {
 
   ExecutionSpec spec;  // threads=1, shards -> 1
   BlockCollection sharded =
-      ShardedExecutor(spec).ExecuteCollect(*technique, dataset);
+      Collect(spec, *technique, dataset);
   EXPECT_EQ(sharded.blocks(), direct.blocks());
 }
 
@@ -146,14 +164,14 @@ TEST(ShardedExecutorTest, CollectMergeIsDeterministicAcrossThreadCounts) {
   base.threads = 1;
   base.shards = 8;
   BlockCollection reference =
-      ShardedExecutor(base).ExecuteCollect(*technique, dataset);
+      Collect(base, *technique, dataset);
   EXPECT_GT(reference.NumBlocks(), 0u);
 
   for (int threads : {2, 8}) {
     ExecutionSpec spec = base;
     spec.threads = threads;
     BlockCollection merged =
-        ShardedExecutor(spec).ExecuteCollect(*technique, dataset);
+        Collect(spec, *technique, dataset);
     // Bit-identical, including block order (stable shard/block ordering).
     EXPECT_EQ(merged.blocks(), reference.blocks())
         << "threads=" << threads;
@@ -169,7 +187,7 @@ TEST(ShardedExecutorTest, StreamModeEmitsSameBlockMultisetAsCollect) {
   spec.threads = 4;
   spec.shards = 8;
   BlockCollection collected =
-      ShardedExecutor(spec).ExecuteCollect(*technique, dataset);
+      Collect(spec, *technique, dataset);
 
   spec.merge = ExecutionSpec::Merge::kStream;
   BlockCollection streamed;
@@ -177,21 +195,79 @@ TEST(ShardedExecutorTest, StreamModeEmitsSameBlockMultisetAsCollect) {
   EXPECT_EQ(SortedBlocks(streamed), SortedBlocks(collected));
 }
 
-TEST(ShardedExecutorTest, StreamModeHonoursCappedSinkBackpressure) {
+TEST(ShardedExecutorTest, StreamModeHonoursBudgetedSinkBackpressure) {
   data::Dataset dataset = SmallVoter(800);
   std::unique_ptr<BlockingTechnique> technique =
       FromSpec("tblo:attrs=last_name");
 
   BlockCollection collection;
-  core::CappedSink capped(collection, /*comparison_budget=*/10);
+  core::BudgetedSink budgeted(collection, PairsMeter(10));
   ExecutionSpec spec;
   spec.threads = 4;
   spec.shards = 8;
   spec.merge = ExecutionSpec::Merge::kStream;
-  ShardedExecutor(spec).Execute(*technique, dataset, capped);
-  EXPECT_TRUE(capped.Done());
-  EXPECT_GE(capped.comparisons(), 10u);
-  EXPECT_EQ(collection.TotalComparisons(), capped.comparisons());
+  ShardedExecutor(spec).Execute(*technique, dataset, budgeted);
+  EXPECT_TRUE(budgeted.Done());
+  EXPECT_GE(budgeted.meter()->Spent(), 10u);
+  EXPECT_EQ(collection.TotalComparisons(), budgeted.meter()->Spent());
+}
+
+// The one budget path of a sharded run: the caller's BudgetedSink passed
+// into plain Execute. In stream mode it sits under the engine's
+// ConcurrentSink, so all shards spend from one gate and the overshoot is
+// below one block in total, not one per shard.
+TEST(ShardedExecutorTest, StreamModeBudgetOvershootsByAtMostOneBlock) {
+  data::Dataset dataset = SmallVoter(2000);
+  std::unique_ptr<BlockingTechnique> technique =
+      FromSpec("lsh:k=2,l=8,q=2,attrs=first_name+last_name");
+  ExecutionSpec spec;
+  spec.threads = 4;
+  spec.shards = 8;
+  spec.merge = ExecutionSpec::Merge::kStream;
+  const uint64_t total =
+      Collect(spec, *technique, dataset).TotalComparisons();
+
+  for (uint64_t budget : {1u, 50u, 1000u}) {
+    SCOPED_TRACE("budget=" + std::to_string(budget));
+    ASSERT_GT(total, budget);
+    BlockCollection collection;
+    core::BudgetedSink budgeted(collection, PairsMeter(budget));
+    ShardedExecutor(spec).Execute(*technique, dataset, budgeted);
+    const uint64_t forwarded = collection.TotalComparisons();
+    EXPECT_EQ(forwarded, budgeted.meter()->Spent());
+    EXPECT_GE(forwarded, budget);
+    EXPECT_LE(forwarded, budget + MaxBlockComparisons(collection));
+    EXPECT_STREQ(budgeted.meter()->ExhaustedReason(), "pairs");
+  }
+}
+
+// Collect mode gates the deterministic shard-order merge, so a budgeted
+// run is byte-identical at any thread count for a fixed shard count.
+TEST(ShardedExecutorTest, CollectModeBudgetIsIdenticalAcrossThreadCounts) {
+  data::Dataset dataset = SmallVoter(1000);
+  std::unique_ptr<BlockingTechnique> technique =
+      FromSpec("sa-lsh:domain=voter,k=4,l=8,q=2,w=5,mode=or");
+  ExecutionSpec spec;
+  spec.shards = 8;
+  const uint64_t budget =
+      Collect(spec, *technique, dataset).TotalComparisons() / 2;
+  ASSERT_GT(budget, 10u);
+  BlockCollection reference;
+  for (int threads : {1, 2, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    spec.threads = threads;
+    BlockCollection collection;
+    core::BudgetedSink budgeted(collection, PairsMeter(budget));
+    ShardedExecutor(spec).Execute(*technique, dataset, budgeted);
+    EXPECT_TRUE(budgeted.Done());
+    EXPECT_GE(collection.TotalComparisons(), budget);
+    if (threads == 1) {
+      reference = std::move(collection);
+      ASSERT_GT(reference.NumBlocks(), 0u);
+    } else {
+      EXPECT_EQ(collection.blocks(), reference.blocks());
+    }
+  }
 }
 
 TEST(ShardedExecutorTest, EmptyDatasetProducesNoBlocks) {
@@ -202,7 +278,7 @@ TEST(ShardedExecutorTest, EmptyDatasetProducesNoBlocks) {
   spec.threads = 4;
   spec.shards = 4;
   BlockCollection merged =
-      ShardedExecutor(spec).ExecuteCollect(*technique, dataset);
+      Collect(spec, *technique, dataset);
   EXPECT_EQ(merged.NumBlocks(), 0u);
 }
 
@@ -217,12 +293,12 @@ void ExpectIdenticalMetricsAcrossThreadCounts(const std::string& spec_text) {
   spec.shards = 8;  // pinned: the computation is defined by the shards
   spec.threads = 1;
   eval::TechniqueResult reference =
-      eval::RunTechniqueSharded(*technique, dataset, spec);
+      eval::RunTechnique(*technique, dataset, spec);
 
   for (int threads : {2, 8}) {
     spec.threads = threads;
     eval::TechniqueResult result =
-        eval::RunTechniqueSharded(*technique, dataset, spec);
+        eval::RunTechnique(*technique, dataset, spec);
     SCOPED_TRACE("threads=" + std::to_string(threads));
     EXPECT_EQ(result.metrics.pc, reference.metrics.pc);
     EXPECT_EQ(result.metrics.pq, reference.metrics.pq);

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <memory>
 
+#include "api/registry.h"
 #include "baselines/adaptive_sorted_neighbourhood.h"
 #include "baselines/canopy.h"
 #include "baselines/meta_blocking.h"
@@ -167,9 +168,12 @@ TEST(IntegrationTest, AllBaselinesRunOnCora) {
       std::make_unique<SuffixArrayAllSubstrings>(key, 7, 20));
   techniques.push_back(std::make_unique<RobustSuffixArrayBlocking>(
       key, 5, 20, "edit", 0.85));
-  techniques.push_back(std::make_unique<MetaBlocking>(
-      std::vector<std::string>{"authors", "title"}, MetaWeighting::kJs,
-      MetaPruning::kWep));
+  std::unique_ptr<core::BlockingTechnique> meta;
+  ASSERT_TRUE(api::BlockerRegistry::Global()
+                  .Create("meta:weighting=js,pruning=wep,attrs=authors+title",
+                          &meta)
+                  .ok());
+  techniques.push_back(std::move(meta));
 
   std::vector<eval::TechniqueResult> results = eval::RunAll(techniques, d);
   ASSERT_EQ(results.size(), techniques.size());
@@ -195,8 +199,9 @@ TEST(IntegrationTest, MetaBlockingSweepOnCora) {
 
   for (MetaPruning pruning : {MetaPruning::kWep, MetaPruning::kCep,
                               MetaPruning::kWnp, MetaPruning::kCnp}) {
-    MetaBlocking meta({"authors", "title"}, MetaWeighting::kArcs, pruning);
-    eval::Metrics pruned = eval::Evaluate(d, meta.Prune(d, input));
+    eval::Metrics pruned = eval::Evaluate(
+        d, pipeline::MetaPrune(d.size(), input, MetaWeighting::kArcs,
+                               pruning));
     EXPECT_GE(pruned.pq_star, initial.pq_star)
         << MetaPruningName(pruning);
     EXPECT_LE(pruned.pc, initial.pc + 1e-12) << MetaPruningName(pruning);

@@ -3,9 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+
 #include "run_streaming.h"
 
+#include "api/registry.h"
 #include "baselines/meta_blocking.h"
+#include "common/string_util.h"
 #include "eval/metrics.h"
 
 namespace sablock::baselines {
@@ -23,6 +28,23 @@ Dataset TokenDataset() {
   d.Add({{"omega psi"}}, 2);
   d.Add({{"omega psi chi"}}, 2);
   return d;
+}
+
+// The `meta` registry technique: token blocking | purge | meta over the
+// "name" attribute.
+std::unique_ptr<core::BlockingTechnique> Meta(MetaWeighting w, MetaPruning p) {
+  std::unique_ptr<core::BlockingTechnique> meta;
+  Status status = api::BlockerRegistry::Global().Create(
+      "meta:weighting=" + ToLower(MetaWeightingName(w)) +
+          ",pruning=" + ToLower(MetaPruningName(p)) + ",attrs=name",
+      &meta);
+  EXPECT_TRUE(status.ok()) << status.message();
+  return meta;
+}
+
+BlockCollection Prune(const Dataset& d, const BlockCollection& input,
+                      MetaWeighting w, MetaPruning p) {
+  return pipeline::MetaPrune(d.size(), input, w, p);
 }
 
 TEST(TokenBlockingTest, OneBlockPerSharedToken) {
@@ -49,8 +71,8 @@ TEST(MetaBlockingTest, OutputIsSubsetOfInputPairs) {
   PairSet input_pairs = input.DistinctPairs();
   for (MetaPruning pruning : {MetaPruning::kWep, MetaPruning::kCep,
                               MetaPruning::kWnp, MetaPruning::kCnp}) {
-    MetaBlocking meta({"name"}, MetaWeighting::kCbs, pruning);
-    PairSet pruned = meta.Prune(d, input).DistinctPairs();
+    PairSet pruned =
+        Prune(d, input, MetaWeighting::kCbs, pruning).DistinctPairs();
     EXPECT_LE(pruned.size(), input_pairs.size());
     pruned.ForEach([&input_pairs](uint32_t a, uint32_t b) {
       EXPECT_TRUE(input_pairs.Contains(a, b));
@@ -63,8 +85,8 @@ TEST(MetaBlockingTest, WepKeepsStrongEdges) {
   // Records 0-1 share two blocks (alpha, beta); 0-2 share one (alpha);
   // 3-4 share two (omega, psi). Mean CBS weight = (2+1+1+2)/4 = 1.5:
   // WEP keeps only the weight-2 edges.
-  MetaBlocking meta({"name"}, MetaWeighting::kCbs, MetaPruning::kWep);
-  BlockCollection pruned = RunStreaming(meta, d);
+  BlockCollection pruned =
+      RunStreaming(*Meta(MetaWeighting::kCbs, MetaPruning::kWep), d);
   EXPECT_TRUE(pruned.InSameBlock(0, 1));
   EXPECT_TRUE(pruned.InSameBlock(3, 4));
   EXPECT_FALSE(pruned.InSameBlock(0, 2));
@@ -75,8 +97,8 @@ TEST(MetaBlockingTest, CepRespectsBudget) {
   Dataset d = TokenDataset();
   BlockCollection input = TokenBlocking(d, {"name"}, 100);
   size_t budget = static_cast<size_t>(input.TotalBlockSizes() / 2);
-  MetaBlocking meta({"name"}, MetaWeighting::kArcs, MetaPruning::kCep);
-  BlockCollection pruned = meta.Prune(d, input);
+  BlockCollection pruned =
+      Prune(d, input, MetaWeighting::kArcs, MetaPruning::kCep);
   EXPECT_LE(pruned.NumBlocks(), budget);
 }
 
@@ -85,8 +107,7 @@ TEST(MetaBlockingTest, AllWeightingSchemesProducePositiveWeights) {
   for (MetaWeighting w :
        {MetaWeighting::kArcs, MetaWeighting::kCbs, MetaWeighting::kEcbs,
         MetaWeighting::kJs, MetaWeighting::kEjs}) {
-    MetaBlocking meta({"name"}, w, MetaPruning::kWep);
-    BlockCollection pruned = RunStreaming(meta, d);
+    BlockCollection pruned = RunStreaming(*Meta(w, MetaPruning::kWep), d);
     // WEP with any scheme keeps at least the strongest edge.
     EXPECT_GE(pruned.NumBlocks(), 1u) << MetaWeightingName(w);
   }
@@ -94,8 +115,8 @@ TEST(MetaBlockingTest, AllWeightingSchemesProducePositiveWeights) {
 
 TEST(MetaBlockingTest, PrunedBlocksArePairs) {
   Dataset d = TokenDataset();
-  MetaBlocking meta({"name"}, MetaWeighting::kJs, MetaPruning::kWnp);
-  BlockCollection pruned = RunStreaming(meta, d);
+  BlockCollection pruned =
+      RunStreaming(*Meta(MetaWeighting::kJs, MetaPruning::kWnp), d);
   for (const auto& b : pruned.blocks()) {
     EXPECT_EQ(b.size(), 2u);
   }
@@ -103,8 +124,8 @@ TEST(MetaBlockingTest, PrunedBlocksArePairs) {
 
 TEST(MetaBlockingTest, CnpKeepsTopEdgesPerNode) {
   Dataset d = TokenDataset();
-  MetaBlocking meta({"name"}, MetaWeighting::kCbs, MetaPruning::kCnp);
-  BlockCollection pruned = RunStreaming(meta, d);
+  BlockCollection pruned =
+      RunStreaming(*Meta(MetaWeighting::kCbs, MetaPruning::kCnp), d);
   // The strong within-entity edges must survive node-local top-k.
   EXPECT_TRUE(pruned.InSameBlock(0, 1));
   EXPECT_TRUE(pruned.InSameBlock(3, 4));
@@ -114,20 +135,22 @@ TEST(MetaBlockingTest, ImprovesPqStarOverInput) {
   Dataset d = TokenDataset();
   BlockCollection input = TokenBlocking(d, {"name"}, 100);
   eval::Metrics before = eval::Evaluate(d, input);
-  MetaBlocking meta({"name"}, MetaWeighting::kCbs, MetaPruning::kWep);
-  eval::Metrics after = eval::Evaluate(d, meta.Prune(d, input));
+  eval::Metrics after = eval::Evaluate(
+      d, Prune(d, input, MetaWeighting::kCbs, MetaPruning::kWep));
   EXPECT_GE(after.pq_star, before.pq_star);
 }
 
 TEST(MetaBlockingTest, NameEncodesSchemeAndPruning) {
-  MetaBlocking meta({"a"}, MetaWeighting::kEjs, MetaPruning::kCnp);
-  EXPECT_EQ(meta.name(), "Meta(CNP+EJS)");
+  EXPECT_EQ(Meta(MetaWeighting::kEjs, MetaPruning::kCnp)->name(),
+            "TokenBlocking | purge(max_size=500) | meta(CNP+EJS)");
 }
 
 TEST(MetaBlockingTest, EmptyDatasetYieldsNoBlocks) {
   Dataset d{Schema({"name"})};
-  MetaBlocking meta({"name"}, MetaWeighting::kCbs, MetaPruning::kWep);
-  EXPECT_EQ(RunStreaming(meta, d).NumBlocks(), 0u);
+  EXPECT_EQ(
+      RunStreaming(*Meta(MetaWeighting::kCbs, MetaPruning::kWep), d)
+          .NumBlocks(),
+      0u);
 }
 
 }  // namespace

@@ -1,15 +1,13 @@
-// Golden equivalence for the meta-blocking refactor: the pipeline
-// `token-blocking | purge | meta` must reproduce the legacy monolithic
-// `MetaBlocking::Run` byte-identically — same blocks, same order — for
-// every weighting × pruning combination, both single-threaded and
-// through the sharded engine (merge=collect, where the legacy baseline
-// and the pipelined blocker each run whole per record shard). This keeps
-// the thin wrapper covered and pins the refactored graph phase to the
-// original algorithm.
+// Golden equivalence for meta-blocking: the `meta` registry technique
+// (`meta:weighting=,pruning=,max-block=`) must reproduce the spelled-out
+// pipeline `token-blocking | purge | meta` byte-identically — same
+// blocks, same order — for every weighting × pruning combination, both
+// single-threaded and through the sharded engine (merge=collect, where
+// each runs whole per record shard).
 //
 // (The absolute output is additionally pinned by feature_golden_test's
-// pre-refactor meta golden hash; this test sweeps the full 20-combo grid
-// for wrapper/pipeline equivalence.)
+// meta golden hash; this test sweeps the full 20-combo grid for
+// registry/pipeline equivalence.)
 
 #include <gtest/gtest.h>
 
@@ -27,7 +25,6 @@
 namespace sablock {
 namespace {
 
-using baselines::MetaBlocking;
 using baselines::MetaPruning;
 using baselines::MetaPruningName;
 using baselines::MetaWeighting;
@@ -62,13 +59,27 @@ std::unique_ptr<pipeline::PipelinedBlocker> BuildPipeline(MetaWeighting w,
   return pipelined;
 }
 
-TEST(PipelineGoldenTest, AllCombosMatchLegacyMetaBlockingByteIdentically) {
+std::unique_ptr<core::BlockingTechnique> BuildRegistered(MetaWeighting w,
+                                                         MetaPruning p) {
+  const std::string spec = "meta:weighting=" + ToLower(MetaWeightingName(w)) +
+                           ",pruning=" + ToLower(MetaPruningName(p)) +
+                           ",max-block=" + std::to_string(kPurgeSize) +
+                           ",attrs=authors+title";
+  std::unique_ptr<core::BlockingTechnique> registered;
+  Status status = api::BlockerRegistry::Global().Create(spec, &registered);
+  EXPECT_TRUE(status.ok()) << spec << ": " << status.message();
+  return registered;
+}
+
+TEST(PipelineGoldenTest, AllCombosRegistryMetaMatchesPipelineByteIdentically) {
   data::Dataset d = GoldenDataset();
   for (MetaWeighting w : kWeightings) {
     for (MetaPruning p : kPrunings) {
-      MetaBlocking legacy({"authors", "title"}, w, p, kPurgeSize);
+      std::unique_ptr<core::BlockingTechnique> registered =
+          BuildRegistered(w, p);
+      ASSERT_NE(registered, nullptr);
       BlockCollection expected;
-      legacy.Run(d, expected);
+      registered->Run(d, expected);
 
       std::unique_ptr<pipeline::PipelinedBlocker> pipelined =
           BuildPipeline(w, p);
@@ -76,8 +87,8 @@ TEST(PipelineGoldenTest, AllCombosMatchLegacyMetaBlockingByteIdentically) {
       BlockCollection actual;
       pipelined->Run(d, actual);
 
-      ASSERT_GT(expected.NumBlocks(), 0u) << legacy.name();
-      EXPECT_EQ(actual.blocks(), expected.blocks()) << legacy.name();
+      ASSERT_GT(expected.NumBlocks(), 0u) << pipelined->name();
+      EXPECT_EQ(actual.blocks(), expected.blocks()) << pipelined->name();
     }
   }
 }
@@ -91,16 +102,20 @@ TEST(PipelineGoldenTest, AllCombosMatchThroughShardedEngineCollect) {
   engine::ShardedExecutor executor(spec);
   for (MetaWeighting w : kWeightings) {
     for (MetaPruning p : kPrunings) {
-      MetaBlocking legacy({"authors", "title"}, w, p, kPurgeSize);
-      BlockCollection expected = executor.ExecuteCollect(legacy, d);
+      std::unique_ptr<core::BlockingTechnique> registered =
+          BuildRegistered(w, p);
+      ASSERT_NE(registered, nullptr);
+      BlockCollection expected;
+      executor.Execute(*registered, d, expected);
 
       std::unique_ptr<pipeline::PipelinedBlocker> pipelined =
           BuildPipeline(w, p);
       ASSERT_NE(pipelined, nullptr);
-      BlockCollection actual = executor.ExecuteCollect(*pipelined, d);
+      BlockCollection actual;
+      executor.Execute(*pipelined, d, actual);
 
-      ASSERT_GT(expected.NumBlocks(), 0u) << legacy.name();
-      EXPECT_EQ(actual.blocks(), expected.blocks()) << legacy.name();
+      ASSERT_GT(expected.NumBlocks(), 0u) << pipelined->name();
+      EXPECT_EQ(actual.blocks(), expected.blocks()) << pipelined->name();
     }
   }
 }
@@ -121,24 +136,35 @@ TEST(PipelineGoldenTest, TokenBlockingHelperEqualsTokenPurgePipeline) {
   EXPECT_EQ(actual.blocks(), legacy.blocks());
 }
 
-TEST(PipelineGoldenTest, RegisteredMetaBlockerStillMatchesLegacyClass) {
-  // The `meta` registry entry (the one-technique packaging) must keep
-  // producing the same blocks as the pipeline it now wraps.
-  data::Dataset d = GoldenDataset();
-  std::unique_ptr<core::BlockingTechnique> registered;
-  ASSERT_TRUE(api::BlockerRegistry::Global()
-                  .Create("meta:weighting=ejs,pruning=cnp,max-block=" +
-                              std::to_string(kPurgeSize) +
-                              ",attrs=authors+title",
-                          &registered)
-                  .ok());
-  BlockCollection from_registry;
-  registered->Run(d, from_registry);
-
+TEST(PipelineGoldenTest, RegisteredMetaBlockerIsThePipeline) {
+  // The `meta` registry entry is the pipeline, not a packaging of it: it
+  // reports the pipeline's name, and its defaults (cbs, wep, 500) are the
+  // stage defaults.
+  std::unique_ptr<core::BlockingTechnique> registered =
+      BuildRegistered(MetaWeighting::kEjs, MetaPruning::kCnp);
   std::unique_ptr<pipeline::PipelinedBlocker> pipelined =
       BuildPipeline(MetaWeighting::kEjs, MetaPruning::kCnp);
+  ASSERT_NE(registered, nullptr);
+  ASSERT_NE(pipelined, nullptr);
+  EXPECT_EQ(registered->name(), pipelined->name());
+  EXPECT_EQ(registered->name(),
+            "TokenBlocking | purge(max_size=300) | meta(CNP+EJS)");
+
+  std::unique_ptr<core::BlockingTechnique> defaults;
+  ASSERT_TRUE(api::BlockerRegistry::Global()
+                  .Create("meta:attrs=authors+title", &defaults)
+                  .ok());
+  std::unique_ptr<pipeline::PipelinedBlocker> stage_defaults;
+  ASSERT_TRUE(pipeline::Build("token-blocking:attrs=authors+title | purge | "
+                              "meta",
+                              &stage_defaults)
+                  .ok());
+  EXPECT_EQ(defaults->name(), stage_defaults->name());
+  data::Dataset d = GoldenDataset();
+  BlockCollection from_registry;
+  defaults->Run(d, from_registry);
   BlockCollection from_pipeline;
-  pipelined->Run(d, from_pipeline);
+  stage_defaults->Run(d, from_pipeline);
   EXPECT_EQ(from_registry.blocks(), from_pipeline.blocks());
 }
 

@@ -13,6 +13,7 @@
 
 #include "api/pipeline_spec.h"
 #include "core/blocking.h"
+#include "core/budget.h"
 #include "data/cora_generator.h"
 #include "engine/sharded_executor.h"
 #include "eval/harness.h"
@@ -329,6 +330,31 @@ TEST(RunPipelineTest, ReportsPerStageCounts) {
   EXPECT_EQ(direct.blocks(), result.blocks.blocks());
 }
 
+TEST(RunPipelineTest, MeterGatesTheOutputAfterTheLastStage) {
+  data::Dataset d = SmallCora();
+  std::unique_ptr<PipelinedBlocker> p;
+  ASSERT_TRUE(Build("token-blocking:attrs=authors+title | "
+                    "purge:max_size=50 | meta:weight=cbs,prune=wep",
+                    &p)
+                  .ok());
+  eval::PipelineResult full = eval::RunPipeline(p->blocker(), p->stages(), d);
+  ASSERT_GT(full.blocks.NumBlocks(), 10u);
+
+  auto meter = std::make_shared<core::BudgetMeter>(core::Budget{.pairs = 10});
+  eval::PipelineResult gated = eval::RunPipeline(
+      p->blocker(), p->stages(), d, /*evaluate=*/true, {}, meter);
+  // The barrier stage still saw the whole stream (identical upstream
+  // counts); the gate kept the first 10 of meta's pair blocks.
+  EXPECT_EQ(gated.stages[1].blocks, full.stages[1].blocks);
+  ASSERT_EQ(gated.blocks.NumBlocks(), 10u);
+  EXPECT_EQ(meter->Spent(), 10u);
+  EXPECT_STREQ(meter->ExhaustedReason(), "pairs");
+  EXPECT_TRUE(std::equal(gated.blocks.blocks().begin(),
+                         gated.blocks.blocks().end(),
+                         full.blocks.blocks().begin()));
+  EXPECT_EQ(gated.metrics.num_blocks, 10u);
+}
+
 // ------------------------------------------- sharded engine into pipeline
 
 /// Canonical multiset fingerprint (stream mode reorders blocks).
@@ -384,7 +410,8 @@ TEST(PipelineShardedTest, PerShardPipelineMatchesEngineRunOfWrappedBlocker) {
   ASSERT_TRUE(
       engine::ExecutionSpec::Parse("threads=2,shards=3", &spec).ok());
   engine::ShardedExecutor executor(spec);
-  BlockCollection sharded = executor.ExecuteCollect(*p, d);
+  BlockCollection sharded;
+  executor.Execute(*p, d, sharded);
   // Reference: run the chain manually per shard range.
   BlockCollection expected;
   for (const engine::ShardRange& range :

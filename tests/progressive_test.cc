@@ -24,7 +24,6 @@ namespace {
 
 using core::Block;
 using core::BlockCollection;
-using core::CandidatePair;
 
 // Blocks with deliberately skewed sizes and overlap: {0,1} co-occur in
 // three blocks (high edge weight), the big block dilutes its pairs.
@@ -250,6 +249,12 @@ TEST(ProgressiveStageTest, SpecParameterDiagnostics) {
   EXPECT_NE(create_error("progressive:pairs=0").find("pairs"),
             std::string::npos);
   EXPECT_NE(create_error("progressive:seconds=-1").find("seconds"),
+            std::string::npos);
+  EXPECT_NE(create_error("progressive:seconds=inf").find("'seconds'"),
+            std::string::npos);
+  EXPECT_NE(create_error("progressive:seconds=1e300").find("'seconds'"),
+            std::string::npos);
+  EXPECT_NE(create_error("progressive:recall-target=nan").find("recall"),
             std::string::npos);
   EXPECT_NE(create_error("progressive:recall-target=2").find("recall"),
             std::string::npos);

@@ -6,10 +6,8 @@
 
 namespace sablock {
 
-/// Runs a technique through the primary streaming Run(dataset, sink) API
-/// and materializes the emitted blocks. Test-side replacement for the
-/// legacy collecting Run(dataset) wrapper (which block_sink_test still
-/// covers directly as API surface).
+/// Runs a technique through Run(dataset, sink) into a BlockCollection and
+/// returns the emitted blocks.
 inline core::BlockCollection RunStreaming(
     const core::BlockingTechnique& technique, const data::Dataset& dataset) {
   core::BlockCollection blocks;

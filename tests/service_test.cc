@@ -255,6 +255,40 @@ TEST(CandidateServerTest, WrongArityIsAnErrorResponseNotADisconnect) {
   server.Stop();
 }
 
+TEST(CandidateServerTest, ProgressiveQueryRejectsNonFiniteBudgets) {
+  std::unique_ptr<CandidateService> service = MakeTokenService();
+  CandidateServer server(service.get(), TestSocketPath("budget"), 1);
+  ASSERT_TRUE(server.Start().ok());
+  CandidateClient client;
+  ASSERT_TRUE(
+      CandidateClient::Connect(server.socket_path(), &client).ok());
+  std::vector<std::string> a = {"Alice Smith", "Berlin"};
+  std::vector<std::string> b = {"Bob Smith", "Berlin"};
+  data::RecordId id = 0;
+  ASSERT_TRUE(client.Insert(Row(a), &id).ok());
+  ASSERT_TRUE(client.Insert(Row(b), &id).ok());
+
+  std::vector<std::string> probe = {"Eve Smith", "Berlin"};
+  std::vector<std::pair<data::RecordId, double>> scored;
+  ASSERT_TRUE(
+      client.QueryProgressive(Row(probe), "seconds=60", &scored).ok());
+  EXPECT_EQ(scored.size(), 2u);
+
+  // A wire-supplied budget that would be exhausted at birth (or silently
+  // unlimited) is an error response naming the term, not an empty result.
+  for (const char* budget :
+       {"seconds=inf", "seconds=1e300", "seconds=nan", "recall-target=nan"}) {
+    SCOPED_TRACE(budget);
+    Status s = client.QueryProgressive(Row(probe), budget, &scored);
+    ASSERT_FALSE(s.ok());
+    EXPECT_NE(s.message().find("budget term"), std::string::npos)
+        << s.message();
+    EXPECT_TRUE(client.connected());
+  }
+  client.Close();
+  server.Stop();
+}
+
 TEST(CandidateServerTest, StopUnblocksConnectedClients) {
   std::unique_ptr<CandidateService> service = MakeTokenService();
   CandidateServer server(service.get(), TestSocketPath("stop"), 1);

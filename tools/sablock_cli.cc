@@ -34,10 +34,10 @@
 #include "common/timer.h"
 #include "core/block_sink.h"
 #include "core/budget.h"
-#include "engine/sharded_executor.h"
 #include "data/cora_generator.h"
 #include "data/csv.h"
 #include "data/voter_generator.h"
+#include "engine/execution_spec.h"
 #include "eval/harness.h"
 #include "eval/metrics.h"
 #include "index/index_registry.h"
@@ -47,8 +47,6 @@
 #include "store/snapshot_writer.h"
 
 namespace {
-
-using sablock::core::BlockingTechnique;
 
 struct Flags {
   std::map<std::string, std::string> values;
@@ -129,7 +127,8 @@ void PrintUsage() {
       "--budget takes the unified core::Budget grammar (pairs=N,\n"
       "seconds=S; \"inf\" = unlimited) and bounds what reaches the\n"
       "output: blocks stop being collected once their comparisons\n"
-      "exhaust the budget. recall-target= budgets are pipeline-only —\n"
+      "exhaust the budget (the per-stage table still reports what each\n"
+      "step emitted). recall-target= budgets are pipeline-only —\n"
       "use the progressive stage (--pipeline \"... | progressive:...\").\n"
       "\n"
       "The technique spec drives the blocker registry; legacy flags\n"
@@ -353,14 +352,9 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  std::unique_ptr<BlockingTechnique> technique;
+  // A --technique is a zero-stage pipeline: both flags run the same path.
   std::unique_ptr<sablock::pipeline::PipelinedBlocker> pipelined;
-  if (use_pipeline) {
-    status = sablock::pipeline::Build(std::move(pipeline_spec), &pipelined);
-  } else {
-    status = sablock::api::BlockerRegistry::Global().Create(
-        std::move(blocker_spec), &technique);
-  }
+  status = sablock::pipeline::Build(std::move(pipeline_spec), &pipelined);
   if (!status.ok()) {
     std::fprintf(stderr, "error: %s\n", status.message().c_str());
     std::fprintf(stderr,
@@ -420,111 +414,47 @@ int main(int argc, char** argv) {
   }
 
   const int repeat = std::max(flags.GetInt("repeat", 1), 1);
-  // Any engine flag routes through the executor (its one-shard fast path
-  // is identical to a plain run), so no flag is ever silently ignored.
+  // Engine flags only decide whether the spec is reported: every run goes
+  // through the executor, whose one-shard path is the plain Run.
   const bool use_engine =
       flags.Has("threads") || flags.Has("shards") || flags.Has("merge");
-  sablock::engine::ShardedExecutor executor(exec);
 
-  // --- run (the last repeat's collection serves metrics and outputs) ----
-  sablock::core::BlockCollection blocks;
-  std::vector<sablock::eval::StageCounts> stage_counts;
-  sablock::eval::Metrics metrics;
+  // --- run (the last repeat's result serves metrics and outputs) ----
+  // RunPipeline detaches the feature cache per run, so every repetition
+  // pays the full end-to-end build; it interposes counting sinks after
+  // the generator and every stage, runs the generator sharded under
+  // `exec` (stages run once, globally: barrier stages fire at merge), and
+  // gates what reaches the collection with the budget meter. Only the
+  // final repetition pays the quality-metrics pass.
+  sablock::eval::PipelineResult result;
   double min_seconds = 0.0;
   double total_seconds = 0.0;
-  // The last repetition's cold copy outlives the loop: its feature cache
-  // is exactly what the technique warmed, so --save-snapshot captures
-  // the columns a future load of the same spec will need.
-  sablock::data::Dataset cold;
   // The last repetition's meter survives the loop for the budget report.
   std::shared_ptr<sablock::core::BudgetMeter> meter;
   for (int run = 0; run < repeat; ++run) {
-    double seconds = 0.0;
-    if (use_budget) meter = std::make_shared<sablock::core::BudgetMeter>(budget);
-    if (use_budget && pipelined != nullptr) {
-      // Budgeted pipeline: the stage chain runs in full (barrier stages
-      // need the whole stream); the budget gates what reaches the
-      // collection. Bypasses the eval harness, so no per-stage table.
-      cold = dataset.ColdCopy();
-      sablock::WallTimer timer;
-      blocks = sablock::core::BlockCollection();
-      if (use_engine) {
-        executor.ExecutePipeline(pipelined->blocker(), pipelined->stages(),
-                                 cold, blocks, meter);
-      } else {
-        sablock::core::BudgetedSink budgeted(blocks, meter);
-        pipelined->Run(cold, budgeted);
-      }
-      seconds = timer.Seconds();
-      stage_counts.clear();
-    } else if (pipelined != nullptr) {
-      // RunPipeline detaches the feature cache itself (cold-path timing)
-      // and interposes counting sinks after the generator and every
-      // stage. With engine flags the generator runs sharded and the
-      // stages run once, globally (barrier stages fire at merge). Only
-      // the final repetition pays the quality-metrics pass.
-      const bool evaluate = run + 1 == repeat;
-      sablock::eval::PipelineResult result =
-          use_engine ? sablock::eval::RunPipelineSharded(
-                           pipelined->blocker(), pipelined->stages(),
-                           dataset, exec, evaluate)
-                     : sablock::eval::RunPipeline(pipelined->blocker(),
-                                                  pipelined->stages(),
-                                                  dataset, evaluate);
-      seconds = result.seconds;
-      blocks = std::move(result.blocks);
-      stage_counts = std::move(result.stages);
-      metrics = result.metrics;
-    } else {
-      // Detach the feature cache per run so every repetition pays the
-      // full end-to-end build; without this, runs 2..N would hit the
-      // warm FeatureStore and the reported min/mean would exclude
-      // extraction.
-      cold = dataset.ColdCopy();
-      sablock::WallTimer timer;
-      if (use_engine) {
-        // Execute honours the spec's merge mode (collect is
-        // deterministic; stream collects in arrival order through a
-        // ConcurrentSink).
-        blocks = sablock::core::BlockCollection();
-        if (use_budget) {
-          executor.Execute(*technique, cold, blocks, meter);
-        } else {
-          executor.Execute(*technique, cold, blocks);
-        }
-      } else {
-        blocks = sablock::core::BlockCollection();
-        if (use_budget) {
-          sablock::core::BudgetedSink budgeted(blocks, meter);
-          technique->Run(cold, budgeted);
-        } else {
-          technique->Run(cold, blocks);
-        }
-      }
-      seconds = timer.Seconds();
+    if (use_budget) {
+      meter = std::make_shared<sablock::core::BudgetMeter>(budget);
     }
-    min_seconds = run == 0 ? seconds : std::min(min_seconds, seconds);
-    total_seconds += seconds;
+    result = sablock::eval::RunPipeline(pipelined->blocker(),
+                                        pipelined->stages(), dataset,
+                                        /*evaluate=*/run + 1 == repeat, exec,
+                                        meter);
+    min_seconds = run == 0 ? result.seconds
+                           : std::min(min_seconds, result.seconds);
+    total_seconds += result.seconds;
   }
-  // The pipeline path's metrics come with the RunPipeline result;
-  // re-evaluating the same collection here would repeat the
-  // distinct-pair scan. The budgeted pipeline path bypasses that
-  // harness, so it evaluates here like the technique path.
-  if (pipelined == nullptr || use_budget) {
-    metrics = sablock::eval::Evaluate(dataset, blocks);
-  }
-  if (pipelined != nullptr) {
-    std::printf("pipeline: %s\n", pipelined->name().c_str());
-  } else {
-    std::printf("technique: %s\n", technique->name().c_str());
-  }
+  const sablock::core::BlockCollection& blocks = result.blocks;
+  const sablock::eval::Metrics& metrics = result.metrics;
+  std::printf("%s: %s\n", use_pipeline ? "pipeline" : "technique",
+              pipelined->name().c_str());
   if (use_engine) {
     std::printf("engine: %s\n", exec.ToString().c_str());
   }
-  if (!stage_counts.empty()) {
+  if (use_pipeline) {
+    // Per-step counts are what each step emitted, before the budget gate.
     sablock::eval::TablePrinter table(
         {"stage", "blocks", "comparisons", "max", "seconds"});
-    for (const sablock::eval::StageCounts& s : stage_counts) {
+    for (const sablock::eval::StageCounts& s : result.stages) {
       char seconds_buf[32];
       std::snprintf(seconds_buf, sizeof(seconds_buf), "%.3f", s.seconds);
       table.AddRow({s.name, std::to_string(s.blocks),
@@ -543,7 +473,7 @@ int main(int argc, char** argv) {
     std::printf("build time over %d runs: min=%.3fs mean=%.3fs\n", repeat,
                 min_seconds, total_seconds / repeat);
   }
-  if (use_budget && meter != nullptr) {
+  if (meter != nullptr) {
     const std::string reason = meter->ExhaustedReason();
     std::printf("budget: %s — comparisons spent: %llu (%s)\n",
                 budget.ToString().c_str(),
@@ -590,11 +520,13 @@ int main(int argc, char** argv) {
     }
   }
   if (flags.Has("save-snapshot")) {
-    // The technique path snapshots the run-warmed cold copy (same data,
-    // features built); the pipeline path detaches its cache internally,
-    // so the snapshot carries the dataset core only.
-    return SaveSnapshotFromFlags(flags,
-                                 pipelined == nullptr ? cold : dataset);
+    // RunPipeline's cold copies are gone with their caches: one untimed
+    // generator run warms the loaded dataset's own cache, so the
+    // snapshot carries the feature columns a later load of the same spec
+    // needs.
+    sablock::core::PairCountingSink warmed;
+    pipelined->blocker().Run(dataset, warmed);
+    return SaveSnapshotFromFlags(flags, dataset);
   }
   return 0;
 }

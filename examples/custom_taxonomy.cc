@@ -3,7 +3,9 @@
 // the three extension points a downstream user touches:
 //   1. core::Taxonomy          — the domain's concept tree(s),
 //   2. core::RuleSemanticFunction (or LambdaSemanticFunction) — how a
-//      record maps to concepts,
+//      record maps to concepts (a LambdaSemanticFunction callable must be
+//      safe to call concurrently for distinct records: engine runs at
+//      threads > 1 interpret records in parallel),
 //   3. core::SemanticAwareLshBlocker — the blocker itself.
 //
 // Usage: ./build/examples/custom_taxonomy

@@ -27,8 +27,18 @@ namespace sablock::core {
 /// The item and scratch buffers are reused: Emit()/ForEachGroup() clear
 /// the items but keep the capacity, so one GroupByKey serves every table
 /// of a Run without reallocating.
+///
+/// Parallelism (common/parallel.h): with workers installed, Extend()
+/// slots can be filled by record range and the radix sort splits every
+/// pass into contiguous chunks, each scattering through its own digit
+/// offsets. Grouping and emission stay on the calling thread, so the
+/// output is byte-identical at any worker count.
 class GroupByKey {
  public:
+  /// Items per sort chunk: a table of at most this many items sorts on
+  /// the calling thread alone.
+  static constexpr size_t kSortGrain = size_t{1} << 14;
+
   void Reserve(size_t n) {
     keys_.reserve(n);
     ids_.reserve(n);
@@ -37,6 +47,21 @@ class GroupByKey {
   void Add(uint64_t key, data::RecordId id) {
     keys_.push_back(key);
     ids_.push_back(id);
+  }
+
+  /// `n` new items for the caller to fill in place, from any thread, each
+  /// slot exactly once, before the next Emit()/ForEachGroup(). Slot i is
+  /// the item Add() would have appended i-th.
+  struct Slots {
+    std::span<uint64_t> keys;
+    std::span<data::RecordId> ids;
+  };
+  Slots Extend(size_t n) {
+    const size_t at = keys_.size();
+    keys_.resize(at + n);
+    ids_.resize(at + n);
+    return {std::span<uint64_t>(keys_).subspan(at),
+            std::span<data::RecordId>(ids_).subspan(at)};
   }
 
   size_t size() const { return keys_.size(); }
@@ -69,7 +94,8 @@ class GroupByKey {
 
  private:
   /// Stable LSD radix sort of (keys_, ids_) by key, one byte per pass;
-  /// passes whose byte is the same in every key are skipped.
+  /// passes whose byte is the same in every key are skipped. Chunked over
+  /// the installed workers (see the class comment).
   void Sort();
 
   std::vector<uint64_t> keys_;

@@ -4,6 +4,7 @@
 
 #include "common/check.h"
 #include "common/hashing.h"
+#include "common/parallel.h"
 #include "common/random.h"
 #include "core/group_by_key.h"
 #include "features/feature_store.h"
@@ -33,22 +34,36 @@ std::vector<size_t> SemanticTableChoices(const SemanticParams& params,
   return rng.SampleIndices(dim, w);
 }
 
-void AppendSemanticBucketKeys(uint64_t band, const SemSignature& sem,
+namespace {
+
+// Calls fn(key) for each bucket key of AppendSemanticBucketKeys, in its
+// order, without a vector.
+template <typename Fn>
+void ForEachSemanticBucketKey(uint64_t band, const SemSignature& sem,
                               SemanticMode mode,
-                              const std::vector<size_t>& chosen,
-                              std::vector<uint64_t>* keys) {
+                              const std::vector<size_t>& chosen, Fn&& fn) {
   if (mode == SemanticMode::kAnd) {
     for (size_t f : chosen) {
       if (!sem.Get(static_cast<uint32_t>(f))) return;
     }
-    keys->push_back(band);
+    fn(band);
   } else {
     for (size_t f : chosen) {
       if (sem.Get(static_cast<uint32_t>(f))) {
-        keys->push_back(HashCombine(band, 0xfeed0000 + f));
+        fn(HashCombine(band, 0xfeed0000 + f));
       }
     }
   }
+}
+
+}  // namespace
+
+void AppendSemanticBucketKeys(uint64_t band, const SemSignature& sem,
+                              SemanticMode mode,
+                              const std::vector<size_t>& chosen,
+                              std::vector<uint64_t>* keys) {
+  ForEachSemanticBucketKey(band, sem, mode, chosen,
+                           [keys](uint64_t key) { keys->push_back(key); });
 }
 
 features::FeatureView::SignatureHandle MinhashSignatures(
@@ -79,19 +94,24 @@ std::vector<data::RecordId> TableRecords(const SignatureHandle& sigs,
 // prefetches the table's slots this many records ahead.
 constexpr size_t kPrefetchAhead = 16;
 
-// Calls fn(id, band key of `table`) for every id in `ids`, in order.
+// Records per chunk of a table's band-key passes: tens of nanoseconds a
+// record, as light as a radix pass, so they split at the sort's grain.
+constexpr size_t kBandKeyGrain = GroupByKey::kSortGrain;
+
+// Calls fn(i, band key of `table` for ids[i]) for every i in
+// [begin, end), in order.
 template <typename Fn>
 void ForEachBandKey(const SignatureHandle& sigs,
-                    const std::vector<data::RecordId>& ids, int table, int k,
-                    Fn&& fn) {
+                    const std::vector<data::RecordId>& ids, size_t begin,
+                    size_t end, int table, int k, Fn&& fn) {
   const size_t slot = static_cast<size_t>(table) * k;
-  for (size_t i = 0; i < ids.size(); ++i) {
-    if (i + kPrefetchAhead < ids.size()) {
+  for (size_t i = begin; i < end; ++i) {
+    if (i + kPrefetchAhead < end) {
       const uint64_t* ahead = sigs.Signature(ids[i + kPrefetchAhead]).data();
       __builtin_prefetch(ahead + slot);
       __builtin_prefetch(ahead + slot + k - 1);
     }
-    fn(ids[i], LshBandKey(sigs.Signature(ids[i]), table, k));
+    fn(i, LshBandKey(sigs.Signature(ids[i]), table, k));
   }
 }
 
@@ -113,11 +133,16 @@ void LshBlocker::Run(const data::Dataset& dataset, BlockSink& sink) const {
   GroupByKey groups;
   groups.Reserve(ids.size());
   for (int t = 0; t < params_.l && !sink.Done(); ++t) {
+    // One item per record: record i fills slot i.
     band_keys.Resume();
-    ForEachBandKey(sigs, ids, t, params_.k,
-                   [&](data::RecordId id, uint64_t band) {
-                     groups.Add(band, id);
-                   });
+    const GroupByKey::Slots slots = groups.Extend(ids.size());
+    ParallelFor(ids.size(), kBandKeyGrain, [&](size_t begin, size_t end) {
+      ForEachBandKey(sigs, ids, begin, end, t, params_.k,
+                     [&](size_t i, uint64_t band) {
+                       slots.keys[i] = band;
+                       slots.ids[i] = ids[i];
+                     });
+    });
     band_keys.Pause();
     group_emit.Resume();
     groups.Emit(sink);
@@ -169,19 +194,44 @@ void SemanticAwareLshBlocker::Run(const data::Dataset& dataset,
   const std::vector<data::RecordId> ids = TableRecords(sigs, dataset.size());
   GroupByKey groups;
   groups.Reserve(ids.size());
-  std::vector<uint64_t> keys;
+  // Each chunk gathers its records' bucket keys into its own part; the
+  // parts are copied into the table in chunk order, so the table holds
+  // the items in record order at any chunk count.
+  struct Part {
+    std::vector<uint64_t> keys;
+    std::vector<data::RecordId> ids;
+  };
+  const size_t chunks = ParallelChunks(ids.size(), kBandKeyGrain);
+  std::vector<Part> parts(chunks);
+  std::vector<size_t> part_at(chunks + 1, 0);
   for (int t = 0; t < lsh_params_.l && !sink.Done(); ++t) {
     band_keys.Resume();
     const std::vector<size_t> chosen =
         SemanticTableChoices(sem_params_, dim, t);
-    ForEachBandKey(sigs, ids, t, lsh_params_.k,
-                   [&](data::RecordId id, uint64_t band) {
-                     keys.clear();
-                     AppendSemanticBucketKeys(band, sem_sigs[id],
-                                              sem_params_.mode, chosen,
-                                              &keys);
-                     for (uint64_t key : keys) groups.Add(key, id);
-                   });
+    ForEachChunk(ids.size(), chunks, [&](size_t c, size_t begin, size_t end) {
+      Part& part = parts[c];
+      part.keys.clear();
+      part.ids.clear();
+      ForEachBandKey(sigs, ids, begin, end, t, lsh_params_.k,
+                     [&](size_t i, uint64_t band) {
+                       ForEachSemanticBucketKey(
+                           band, sem_sigs[ids[i]], sem_params_.mode, chosen,
+                           [&](uint64_t key) {
+                             part.keys.push_back(key);
+                             part.ids.push_back(ids[i]);
+                           });
+                     });
+    });
+    for (size_t c = 0; c < chunks; ++c) {
+      part_at[c + 1] = part_at[c] + parts[c].keys.size();
+    }
+    const GroupByKey::Slots slots = groups.Extend(part_at[chunks]);
+    ForEachChunk(chunks, chunks, [&](size_t c, size_t, size_t) {
+      std::copy(parts[c].keys.begin(), parts[c].keys.end(),
+                slots.keys.begin() + part_at[c]);
+      std::copy(parts[c].ids.begin(), parts[c].ids.end(),
+                slots.ids.begin() + part_at[c]);
+    });
     band_keys.Pause();
     group_emit.Resume();
     groups.Emit(sink);

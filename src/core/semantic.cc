@@ -1,16 +1,18 @@
 #include "core/semantic.h"
 
 #include "common/check.h"
+#include "common/parallel.h"
 
 namespace sablock::core {
 
 std::vector<std::vector<ConceptId>> SemanticFunction::InterpretAll(
     const data::Dataset& dataset) const {
-  std::vector<std::vector<ConceptId>> out;
-  out.reserve(dataset.size());
-  for (data::RecordId id = 0; id < dataset.size(); ++id) {
-    out.push_back(Interpret(dataset, id));
-  }
+  std::vector<std::vector<ConceptId>> out(dataset.size());
+  ParallelFor(out.size(), kRecordGrain, [&](size_t begin, size_t end) {
+    for (size_t id = begin; id < end; ++id) {
+      out[id] = Interpret(dataset, static_cast<data::RecordId>(id));
+    }
+  });
   return out;
 }
 

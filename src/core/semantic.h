@@ -30,7 +30,9 @@ class SemanticFunction {
   /// The taxonomy this function interprets into.
   virtual const Taxonomy& taxonomy() const = 0;
 
-  /// Interprets every record of the dataset.
+  /// Interprets every record of the dataset, by record range on the
+  /// installed workers (common/parallel.h): Interpret must be safe to
+  /// call concurrently for distinct records, as Isolation implies.
   std::vector<std::vector<ConceptId>> InterpretAll(
       const data::Dataset& dataset) const;
 };
@@ -104,7 +106,10 @@ class RuleSemanticFunction : public SemanticFunction {
 
 /// Adapter wrapping an arbitrary callable as a semantic function. The
 /// callable receives (dataset, record id) and returns concept ids; results
-/// are pruned to the most specific set automatically.
+/// are pruned to the most specific set automatically. InterpretAll calls
+/// it from several threads at once, for distinct records, when the run
+/// has workers installed (engine threads > 1), so it must be safe to call
+/// concurrently.
 class LambdaSemanticFunction : public SemanticFunction {
  public:
   using Fn = std::function<std::vector<ConceptId>(const data::Dataset&,

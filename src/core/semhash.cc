@@ -3,6 +3,7 @@
 #include <bit>
 
 #include "common/check.h"
+#include "common/parallel.h"
 
 namespace sablock::core {
 
@@ -128,11 +129,12 @@ double CompressedSemhash::EstimateJaccard(const std::vector<uint64_t>& a,
 std::vector<SemSignature> SemhashEncoder::EncodeAll(
     const Taxonomy& taxonomy,
     const std::vector<std::vector<ConceptId>>& interpretations) const {
-  std::vector<SemSignature> out;
-  out.reserve(interpretations.size());
-  for (const std::vector<ConceptId>& zeta : interpretations) {
-    out.push_back(Encode(taxonomy, zeta));
-  }
+  std::vector<SemSignature> out(interpretations.size());
+  ParallelFor(out.size(), kRecordGrain, [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      out[i] = Encode(taxonomy, interpretations[i]);
+    }
+  });
   return out;
 }
 

@@ -77,7 +77,7 @@ class SemhashEncoder {
   SemSignature Encode(const Taxonomy& taxonomy,
                       const std::vector<ConceptId>& zeta) const;
 
-  /// Encodes all interpretations.
+  /// Encodes all interpretations, by range on the installed workers.
   std::vector<SemSignature> EncodeAll(
       const Taxonomy& taxonomy,
       const std::vector<std::vector<ConceptId>>& interpretations) const;

@@ -27,8 +27,8 @@ Status ExecutionSpec::Parse(const std::string& text, ExecutionSpec* out) {
   if (spec.threads < 1) {
     return Status::Error("param 'threads': must be >= 1");
   }
-  if (spec.shards < 0) {
-    return Status::Error("param 'shards': must be >= 0 (0 = threads)");
+  if (spec.shards < 1) {
+    return Status::Error("param 'shards': must be >= 1");
   }
   *out = spec;
   return Status::Ok();

@@ -4,11 +4,13 @@
 #include <utility>
 
 #include "common/check.h"
+#include "common/parallel.h"
 #include "common/timer.h"
 #include "engine/concurrent_sink.h"
 #include "engine/thread_pool.h"
 #include "features/feature_store.h"
 #include "obs/metrics.h"
+#include "obs/span.h"
 
 namespace sablock::engine {
 
@@ -23,9 +25,10 @@ namespace {
 ///
 /// Per-shard telemetry: record/block throughput counters plus a
 /// per-shard wall-time histogram, so a starved or skewed shard shows up
-/// on a live process instead of only in post-hoc bench output. The
-/// interposed PairCountingSink adds one branch per block — noise next to
-/// the technique's own work.
+/// on a live process instead of only in post-hoc bench output, and one
+/// `engine.shard` span, which includes any wait on another shard's
+/// feature-column build. The interposed PairCountingSink adds one branch
+/// per block — noise next to the technique's own work.
 void RunShard(const core::BlockingTechnique& technique,
               const data::Dataset& dataset, ShardRange range,
               core::BlockSink& shard_sink) {
@@ -40,6 +43,7 @@ void RunShard(const core::BlockingTechnique& technique,
       "engine_shard_seconds", "per-shard execution wall time",
       obs::Histogram::LatencyBuckets());
 
+  obs::ObsSpan span("engine.shard");
   WallTimer timer;
   data::Dataset shard = dataset.Slice(range.begin, range.end);
   core::PairCountingSink counted(shard_sink);
@@ -75,20 +79,24 @@ std::vector<ShardRange> MakeShardRanges(size_t num_records, int num_shards) {
 
 ShardedExecutor::ShardedExecutor(ExecutionSpec spec) : spec_(spec) {
   SABLOCK_CHECK_MSG(spec_.threads >= 1, "ExecutionSpec.threads must be >= 1");
-  SABLOCK_CHECK_MSG(spec_.shards >= 0, "ExecutionSpec.shards must be >= 0");
+  SABLOCK_CHECK_MSG(spec_.shards >= 1, "ExecutionSpec.shards must be >= 1");
 }
 
 void ShardedExecutor::Execute(const core::BlockingTechnique& technique,
                               const data::Dataset& dataset,
                               core::BlockSink& sink) const {
   const std::vector<ShardRange> ranges =
-      MakeShardRanges(dataset.size(), spec_.ResolvedShards());
+      MakeShardRanges(dataset.size(), spec_.shards);
   if (ranges.empty()) return;
 
   // One shard is the unsharded computation: run straight into the sink
-  // (no slicing, no merge). This keeps "threads=1,shards=1" bit-identical
-  // with — and as fast as — a plain technique.Run(dataset, sink).
+  // (no slicing, no merge) with the workers installed for the technique's
+  // own ParallelFor loops. Those write preassigned slots and emit on this
+  // thread, so every thread count is byte-identical with a plain
+  // technique.Run(dataset, sink) — which threads=1 is exactly.
   if (ranges.size() == 1) {
+    obs::ObsSpan span("engine.shard");
+    ParallelScope workers(spec_.threads);
     technique.Run(dataset, sink);
     return;
   }

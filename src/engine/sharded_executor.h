@@ -26,11 +26,22 @@ struct ShardRange {
 /// dataset yields no ranges.
 std::vector<ShardRange> MakeShardRanges(size_t num_records, int num_shards);
 
-/// Runs any BlockingTechnique over a dataset partitioned into record
-/// shards, one concurrent task per shard on a ThreadPool. Blocks never
-/// span shards (cross-shard record pairs are not candidates), so the
-/// shard count is part of the computation's definition while the thread
-/// count is not:
+/// Runs any BlockingTechnique over a dataset under an ExecutionSpec.
+///
+/// One shard (the default) is the technique's own computation:
+/// Execute installs `threads` workers (common/parallel.h) for the length
+/// of technique.Run(dataset, sink), and the technique splits its feature
+/// columns, semantic interpretation, band-key fill and radix sort over
+/// them. Emission stays on the calling thread, so the output is
+/// byte-identical to threads=1, block order included. Plain Run, the
+/// incremental indexes and the service install no workers and stay
+/// serial.
+///
+/// Several shards partition the records, one concurrent task per shard
+/// on a ThreadPool (the technique runs serially inside each). Blocks
+/// never span shards (cross-shard record pairs are not candidates), so
+/// the shard count is part of the computation's definition while the
+/// thread count is not:
 ///
 ///   results depend on (technique, dataset, shards, merge) — never on
 ///   threads.
@@ -48,8 +59,7 @@ std::vector<ShardRange> MakeShardRanges(size_t num_records, int num_shards);
 /// block in total) and its Done() signal reaches every shard task. In
 /// collect mode shards materialize in full (deterministic for any thread
 /// count) and the budget gates the shard-order merge, like
-/// BlockCollection::Drain. One shard is exactly technique.Run(dataset,
-/// sink).
+/// BlockCollection::Drain.
 class ShardedExecutor {
  public:
   explicit ShardedExecutor(ExecutionSpec spec);

@@ -5,10 +5,12 @@
 
 #include "common/check.h"
 #include "common/flat_map.h"
+#include "common/parallel.h"
 #include "common/string_util.h"
 #include "common/timer.h"
 #include "core/minhash.h"
 #include "obs/metrics.h"
+#include "obs/span.h"
 #include "text/qgram.h"
 
 namespace sablock::features {
@@ -159,16 +161,21 @@ const SignatureColumn& FeatureStore::Signatures(
 
 void FeatureStore::BuildTexts(const std::vector<std::string>& attributes,
                               TextColumn* out) const {
-  const size_t n = snapshot_.size();
-  out->texts.resize(n);
-  for (data::RecordId id = 0; id < n; ++id) {
-    out->texts[id] = snapshot_.ConcatenatedValues(id, attributes);
-  }
+  obs::ObsSpan span("features.build.text");
+  out->texts.resize(snapshot_.size());
+  ParallelFor(out->texts.size(), kRecordGrain, [&](size_t begin, size_t end) {
+    for (size_t id = begin; id < end; ++id) {
+      out->texts[id] = snapshot_.ConcatenatedValues(
+          static_cast<data::RecordId>(id), attributes);
+    }
+  });
 }
 
 void FeatureStore::BuildTokens(const std::vector<std::string>& attributes,
                                TokenColumn* out) const {
   const TextColumn& texts = Texts(attributes);
+  // Serial: dictionary and column-local ids follow record order.
+  obs::ObsSpan span("features.build.token");
   const size_t n = snapshot_.size();
   out->tokens.resize(n);
   // Natural-text vocabularies grow O(records), so pre-size the id maps
@@ -211,30 +218,33 @@ void FeatureStore::BuildTokens(const std::vector<std::string>& attributes,
 void FeatureStore::BuildShingles(const std::vector<std::string>& attributes,
                                  int q, ShingleColumn* out) const {
   const TextColumn& texts = Texts(attributes);
-  const size_t n = snapshot_.size();
-  out->sets.resize(n);
-  for (data::RecordId id = 0; id < n; ++id) {
-    out->sets[id] = text::QGramHashes(texts.texts[id], q);
-  }
+  obs::ObsSpan span("features.build.shingle");
+  out->sets.resize(snapshot_.size());
+  ParallelFor(out->sets.size(), kRecordGrain, [&](size_t begin, size_t end) {
+    for (size_t id = begin; id < end; ++id) {
+      out->sets[id] = text::QGramHashes(texts.texts[id], q);
+    }
+  });
 }
 
 void FeatureStore::BuildSignatures(
     const std::vector<std::string>& attributes, int q, int num_hashes,
     uint64_t seed, SignatureColumn* out) const {
   const ShingleColumn& shingles = Shingles(attributes, q);
+  obs::ObsSpan span("features.build.signature");
   core::MinHasher hasher(num_hashes, seed);
   const size_t n = snapshot_.size();
+  const size_t row = static_cast<size_t>(num_hashes);
   out->num_hashes = static_cast<uint32_t>(num_hashes);
   // One flat allocation for the whole column; each record's row is
   // written in place by the batched kernel — no per-record vectors.
-  out->data.resize(n * static_cast<size_t>(num_hashes));
+  out->data.resize(n * row);
   std::span<uint64_t> all(out->data);
-  for (data::RecordId id = 0; id < n; ++id) {
-    hasher.SignatureInto(
-        shingles.sets[id],
-        all.subspan(id * static_cast<size_t>(num_hashes),
-                    static_cast<size_t>(num_hashes)));
-  }
+  ParallelFor(n, kRecordGrain, [&](size_t begin, size_t end) {
+    for (size_t id = begin; id < end; ++id) {
+      hasher.SignatureInto(shingles.sets[id], all.subspan(id * row, row));
+    }
+  });
   out->rows = out->data;  // data never reallocates after this point
 }
 

@@ -82,7 +82,13 @@ struct SignatureColumn {
 ///    text columns, signature columns on top of shingle columns — so the
 ///    string work of the legacy O(techniques × records) recomputation
 ///    collapses to O(records) per distinct attribute selection, and each
-///    consumer pays only for the representation it actually reads.
+///    consumer pays only for the representation it actually reads;
+///  - text, shingle and signature builds split their records over the
+///    workers installed on the building thread (common/parallel.h), each
+///    chunk writing only its own rows; token builds stay serial because
+///    dictionary ids follow record order. Each build records one
+///    `features.build.{text,shingle,signature,token}` span (its own
+///    work, not the parent column it waits for).
 ///
 /// The store snapshots the dataset it is attached to (sharing its string
 /// arena, copying only value spans), so it stays valid independent of the

@@ -109,20 +109,22 @@ TEST(ExecutionSpecTest, EmptyTextIsDefaultSpec) {
   ExecutionSpec spec;
   ASSERT_TRUE(ExecutionSpec::Parse("", &spec).ok());
   EXPECT_EQ(spec.threads, 1);
-  EXPECT_EQ(spec.shards, 0);
-  EXPECT_EQ(spec.ResolvedShards(), 1);
+  EXPECT_EQ(spec.shards, 1);
   EXPECT_EQ(spec.merge, ExecutionSpec::Merge::kCollect);
 }
 
-TEST(ExecutionSpecTest, ShardsZeroFollowsThreads) {
+TEST(ExecutionSpecTest, ThreadsAloneDoNotShard) {
+  // Sharding changes the answer, so only an explicit shards= opts in.
   ExecutionSpec spec;
   ASSERT_TRUE(ExecutionSpec::Parse("threads=6", &spec).ok());
-  EXPECT_EQ(spec.ResolvedShards(), 6);
+  EXPECT_EQ(spec.threads, 6);
+  EXPECT_EQ(spec.shards, 1);
 }
 
 TEST(ExecutionSpecTest, RejectsBadInput) {
   ExecutionSpec spec;
   EXPECT_FALSE(ExecutionSpec::Parse("threads=0", &spec).ok());
+  EXPECT_FALSE(ExecutionSpec::Parse("shards=0", &spec).ok());
   EXPECT_FALSE(ExecutionSpec::Parse("shards=-1", &spec).ok());
   EXPECT_FALSE(ExecutionSpec::Parse("merge=sideways", &spec).ok());
   EXPECT_FALSE(ExecutionSpec::Parse("workers=3", &spec).ok());
@@ -149,7 +151,7 @@ TEST(ShardedExecutorTest, SingleShardMatchesDirectRun) {
       FromSpec("tblo:attrs=first_name+last_name");
   BlockCollection direct = RunStreaming(*technique, dataset);
 
-  ExecutionSpec spec;  // threads=1, shards -> 1
+  ExecutionSpec spec;  // threads=1, shards=1
   BlockCollection sharded =
       Collect(spec, *technique, dataset);
   EXPECT_EQ(sharded.blocks(), direct.blocks());

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/hashing.h"
+#include "common/parallel.h"
 #include "common/random.h"
 #include "core/blocking.h"
 #include "core/group_by_key.h"
@@ -189,6 +190,80 @@ TEST(GroupByKeyTest, MatchesUnorderedMapReference) {
     std::sort(got.begin(), got.end());
     EXPECT_EQ(got, want);
   }
+}
+
+// The items of one seeded table: few distinct keys (so groups are large),
+// some (key, id) items appended twice, and,
+// with `sparse_digits`, keys that vary only in bytes 0, 2 and 5 so the
+// sort skips the constant passes in between.
+void AddSeededItems(GroupByKey& groups, size_t n, bool sparse_digits,
+                    uint64_t seed) {
+  Rng rng(seed);
+  std::vector<uint64_t> pool(1 + rng.UniformIndex(300));
+  for (uint64_t& key : pool) {
+    if (!sparse_digits) {
+      key = Mix64(rng.UniformIndex(1 << 30));
+      continue;
+    }
+    key = rng.UniformIndex(256);
+    key |= uint64_t{rng.UniformIndex(256)} << 16;
+    key |= uint64_t{rng.UniformIndex(256)} << 40;
+  }
+  size_t added = 0;
+  for (data::RecordId id = 0; added < n; ++id) {
+    const size_t repeats = std::min<size_t>(1 + rng.UniformIndex(2),
+                                            n - added);
+    const uint64_t key = pool[rng.UniformIndex(pool.size())];
+    for (size_t r = 0; r < repeats; ++r, ++added) groups.Add(key, id);
+  }
+}
+
+TEST(GroupByKeyTest, ParallelSortMatchesSerialSort) {
+  // Either side of the grain, with 1-4 chunks: every pass after the first
+  // must count its chunks over the current order, not reuse the first
+  // pass's per-chunk histograms.
+  const size_t grain = GroupByKey::kSortGrain;
+  for (size_t n : {grain - 1, grain, grain + 1, 2 * grain + 7,
+                   4 * grain + 3}) {
+    for (bool sparse_digits : {true, false}) {
+      const uint64_t seed = n * 2 + (sparse_digits ? 1 : 0);
+      GroupByKey serial;
+      AddSeededItems(serial, n, sparse_digits, seed);
+      const std::vector<std::pair<uint64_t, Block>> want = Groups(serial);
+      ASSERT_FALSE(want.empty());
+      for (int threads = 1; threads <= 4; ++threads) {
+        SCOPED_TRACE(::testing::Message()
+                     << "n=" << n << " sparse=" << sparse_digits
+                     << " threads=" << threads);
+        ParallelScope workers(threads);
+        EXPECT_EQ(ParallelChunks(n, grain),
+                  n <= grain ? 1 : std::min<size_t>(threads, (n + grain - 1) /
+                                                                 grain));
+        GroupByKey parallel;
+        AddSeededItems(parallel, n, sparse_digits, seed);
+        EXPECT_EQ(Groups(parallel), want);
+      }
+    }
+  }
+}
+
+TEST(GroupByKeyTest, ExtendSlotsEqualAdds) {
+  // Slots filled out of order (as chunks finish) hold the items Add()
+  // would have appended in slot order.
+  GroupByKey added;
+  GroupByKey extended;
+  added.Add(9, 0);
+  extended.Add(9, 0);
+  const GroupByKey::Slots slots = extended.Extend(50);
+  for (size_t i = 50; i-- > 0;) {
+    slots.keys[i] = i % 7;
+    slots.ids[i] = static_cast<data::RecordId>(i + 1);
+  }
+  for (size_t i = 0; i < 50; ++i) {
+    added.Add(i % 7, static_cast<data::RecordId>(i + 1));
+  }
+  EXPECT_EQ(extended.size(), 51u);
+  EXPECT_EQ(Groups(extended), Groups(added));
 }
 
 }  // namespace

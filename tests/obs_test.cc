@@ -14,6 +14,8 @@
 #include "core/domains.h"
 #include "core/lsh_blocker.h"
 #include "data/cora_generator.h"
+#include "engine/execution_spec.h"
+#include "engine/sharded_executor.h"
 #include "gtest/gtest.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
@@ -284,6 +286,61 @@ uint64_t SpanCount(const std::string& name) {
   const MetricsSnapshot snapshot = MetricsRegistry::Global().Snapshot();
   const SampleSnapshot* sample = snapshot.Find("span_seconds", name);
   return sample == nullptr ? 0 : sample->count;
+}
+
+TEST(PhaseSpanTest, ColdLshRunRecordsEachFeatureBuildOnce) {
+  // A cold LSH Run builds the text, shingle and signature columns, one
+  // span each (however many workers split the build); it needs no
+  // token column.
+  data::CoraGeneratorConfig config;
+  config.num_records = 150;
+  config.num_entities = 15;
+  const data::Dataset dataset = data::GenerateCoraLike(config);
+  core::LshParams params;
+  params.k = 3;
+  params.l = 4;
+  params.attributes = {"title"};
+
+  const std::vector<std::string> built = {"features.build.text",
+                                          "features.build.shingle",
+                                          "features.build.signature"};
+  std::vector<uint64_t> before;
+  for (const std::string& name : built) before.push_back(SpanCount(name));
+  const uint64_t tokens_before = SpanCount("features.build.token");
+
+  core::BlockCollection blocks;
+  core::LshBlocker(params).Run(dataset, blocks);
+  for (size_t i = 0; i < built.size(); ++i) {
+    EXPECT_EQ(SpanCount(built[i]), before[i] + 1) << built[i];
+  }
+  EXPECT_EQ(SpanCount("features.build.token"), tokens_before);
+
+  // Warm: the columns are cached, nothing is built again.
+  core::LshBlocker(params).Run(dataset, blocks);
+  for (size_t i = 0; i < built.size(); ++i) {
+    EXPECT_EQ(SpanCount(built[i]), before[i] + 1) << built[i];
+  }
+}
+
+TEST(PhaseSpanTest, EngineRecordsOneSpanPerShard) {
+  data::CoraGeneratorConfig config;
+  config.num_records = 120;
+  config.num_entities = 12;
+  const data::Dataset dataset = data::GenerateCoraLike(config);
+  core::LshParams params;
+  params.k = 3;
+  params.l = 4;
+  params.attributes = {"title"};
+  const core::LshBlocker lsh(params);
+  for (int shards : {1, 3}) {
+    const uint64_t before = SpanCount("engine.shard");
+    engine::ExecutionSpec spec;
+    spec.threads = 2;
+    spec.shards = shards;
+    core::BlockCollection blocks;
+    engine::ShardedExecutor(spec).Execute(lsh, dataset, blocks);
+    EXPECT_EQ(SpanCount("engine.shard"), before + shards) << shards;
+  }
 }
 
 TEST(PhaseSpanTest, OneRunRecordsEachPhaseOnce) {

@@ -92,8 +92,10 @@ void PrintUsage() {
       "                   [--attrs=a,b[,c...]]  (default for attrs= param)\n"
       "                   [--pairs-out=FILE]    (write candidate pairs)\n"
       "                   [--blocks-out=FILE]   (write blocks)\n"
-      "                   [--threads=N]         (parallel engine workers)\n"
-      "                   [--shards=M]          (record shards; 0=threads)\n"
+      "                   [--threads=N]         (workers inside the run;\n"
+      "                                          never change the blocks)\n"
+      "                   [--shards=M]          (record shards, default 1;\n"
+      "                                          M > 1 changes the answer)\n"
       "                   [--merge=collect|stream]\n"
       "                   [--budget \"pairs=N,seconds=S\"]  (stop once the\n"
       "                                          emitted comparisons or\n"
@@ -113,16 +115,18 @@ void PrintUsage() {
       "feature cache the run warmed is captured). --load-snapshot maps\n"
       "the container back zero-copy (see README \"Snapshots\").\n"
       "\n"
-      "With --threads/--shards the sharded execution engine partitions\n"
-      "the records and runs the technique per shard concurrently; blocks\n"
-      "never span shards, and results depend on the shard count but\n"
-      "never on the thread count (merge=collect is deterministic).\n"
+      "--threads=N splits the technique's own work (feature columns,\n"
+      "band keys, radix sort) over N workers; the blocks are byte-identical\n"
+      "to --threads=1. --shards=M (opt-in) partitions the records and runs\n"
+      "the technique per shard concurrently; blocks never span shards, so\n"
+      "results depend on the shard count but never on the thread count\n"
+      "(merge=collect is deterministic).\n"
       "\n"
       "--pipeline composes any blocker with post-processing stages, e.g.\n"
       "  \"token-blocking | purge:max_size=500 | meta:weight=cbs,prune=wep\"\n"
       "and reports per-stage block/pair counts and timings. Under\n"
-      "--threads/--shards the generator runs sharded while the stages run\n"
-      "once, globally (barrier stages fire at merge).\n"
+      "--shards the generator runs sharded while the stages run once,\n"
+      "globally (barrier stages fire at merge).\n"
       "\n"
       "--budget takes the unified core::Budget grammar (pairs=N,\n"
       "seconds=S; \"inf\" = unlimited) and bounds what reaches the\n"

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "api/registry.h"
+#include "api/technique_params.h"
 #include "baselines/adaptive_sorted_neighbourhood.h"
 #include "baselines/blocking_key.h"
 #include "baselines/canopy.h"
@@ -18,7 +19,6 @@
 #include "baselines/standard_blocking.h"
 #include "baselines/stringmap.h"
 #include "baselines/suffix_array.h"
-#include "core/domains.h"
 #include "core/iterative_blocker.h"
 #include "core/lsh_blocker.h"
 #include "core/lsh_variants.h"
@@ -29,45 +29,6 @@ namespace sablock::api {
 namespace {
 
 using core::BlockingTechnique;
-
-Status RangeError(const std::string& key, const std::string& constraint) {
-  return Status::Error("param '" + key + "': must be " + constraint);
-}
-
-/// Exact-value blocking key over the '+'-separated "attrs" parameter.
-baselines::BlockingKeyDef KeyFromParams(ParamMap& p) {
-  return baselines::ExactKey(p.GetStringList("attrs", {}));
-}
-
-/// The shared "attrs" parameter doc.
-ParamDoc AttrsDoc() {
-  return {"attrs", "", "'+'-separated blocking attributes"};
-}
-
-core::LshParams LshFromParams(ParamMap& p) {
-  core::LshParams lsh;
-  lsh.k = p.GetInt("k", lsh.k);
-  lsh.l = p.GetInt("l", lsh.l);
-  lsh.q = p.GetInt("q", lsh.q);
-  lsh.attributes = p.GetStringList("attrs", {});
-  lsh.seed = p.GetUint64("seed", lsh.seed);
-  return lsh;
-}
-
-Status CheckLshRanges(const core::LshParams& lsh) {
-  if (lsh.k < 1) return RangeError("k", ">= 1");
-  if (lsh.l < 1) return RangeError("l", ">= 1");
-  if (lsh.q < 1) return RangeError("q", ">= 1");
-  return Status::Ok();
-}
-
-std::vector<ParamDoc> LshDocs() {
-  return {{"k", "4", "minhash rows per table"},
-          {"l", "63", "number of hash tables"},
-          {"q", "3", "q-gram size for shingling"},
-          AttrsDoc(),
-          {"seed", "7", "hash-family seed"}};
-}
 
 /// Validates the `key` parameter against the SimilarityByName comparators
 /// and stores the chosen name in *out; *out is unchanged when the
@@ -97,14 +58,13 @@ void RegisterKeyBased(BlockerRegistry& r) {
       });
 
   r.Register(
-      {"sor-a",
-       "array-based sorted neighbourhood: fixed window over sorted keys",
-       {"sorted", "sorn"},
-       {AttrsDoc(), {"window", "3", "sliding-window size (>= 2)"}}},
+      SortedArrayInfo(
+          "array-based sorted neighbourhood: fixed window over sorted keys"),
       [](ParamMap& p, std::unique_ptr<BlockingTechnique>* out) {
-        baselines::BlockingKeyDef key = KeyFromParams(p);
-        int window = p.GetInt("window", 3);
-        if (window < 2) return RangeError("window", ">= 2");
+        baselines::BlockingKeyDef key;
+        int window = 0;
+        Status s = ReadSortedArray(p, &key, &window);
+        if (!s.ok()) return s;
         *out = std::make_unique<baselines::SortedNeighbourhoodArray>(
             std::move(key), window);
         return Status::Ok();
@@ -327,14 +287,12 @@ void RegisterSuffixAndEmbedding(BlockerRegistry& r) {
 
 void RegisterCanopyAndMeta(BlockerRegistry& r) {
   r.Register(
-      {"token-blocking",
-       "token blocking: every distinct token of the key attributes forms "
-       "a block (the canonical generator for purge/meta pipeline stages)",
-       {"token"},
-       {AttrsDoc()}},
+      TokenBlockingInfo(
+          "token blocking: every distinct token of the key attributes forms "
+          "a block (the canonical generator for purge/meta pipeline stages)"),
       [](ParamMap& p, std::unique_ptr<BlockingTechnique>* out) {
         *out = std::make_unique<baselines::TokenBlockingTechnique>(
-            p.GetStringList("attrs", {}));
+            ReadTokenBlocking(p));
         return Status::Ok();
       });
 
@@ -429,56 +387,26 @@ void RegisterCanopyAndMeta(BlockerRegistry& r) {
 
 void RegisterLshFamily(BlockerRegistry& r) {
   r.Register(
-      {"lsh", "minhash LSH blocking over q-gram shingles (textual only)",
-       {"plain-lsh"}, LshDocs()},
+      LshInfo("minhash LSH blocking over q-gram shingles (textual only)"),
       [](ParamMap& p, std::unique_ptr<BlockingTechnique>* out) {
-        core::LshParams lsh = LshFromParams(p);
-        Status s = CheckLshRanges(lsh);
+        core::LshParams lsh;
+        Status s = ReadLsh(p, &lsh);
         if (!s.ok()) return s;
         *out = std::make_unique<core::LshBlocker>(std::move(lsh));
         return Status::Ok();
       });
 
-  {
-    std::vector<ParamDoc> docs = LshDocs();
-    docs.push_back({"w", "5", "semantic hash width (semhash draws/table)"});
-    docs.push_back({"mode", "or", "semantic combination (or|and)"});
-    docs.push_back({"domain", "bib", "semantic domain (bib|voter)"});
-    docs.push_back({"sem-seed", "11", "semantic-function draw seed"});
-    r.Register(
-        {"sa-lsh",
-         "semantic-aware LSH (the paper): minhash tables gated by a w-way "
-         "semantic hash",
-         {"salsh"}, std::move(docs)},
-        [](ParamMap& p, std::unique_ptr<BlockingTechnique>* out) {
-          enum class DomainKind { kBib, kVoter };
-          DomainKind kind = p.GetEnum<DomainKind>(
-              "domain", DomainKind::kBib,
-              {{"bib", DomainKind::kBib}, {"voter", DomainKind::kVoter}});
-          core::Domain domain = kind == DomainKind::kVoter
-                                    ? core::MakeVoterDomain()
-                                    : core::MakeBibliographicDomain();
-          // The paper's blocking attributes for the domain are the default;
-          // an explicit attrs= overrides them.
-          core::LshParams lsh = LshFromParams(p);
-          if (lsh.attributes.empty()) {
-            lsh.attributes = domain.blocking_attributes;
-          }
-          Status s = CheckLshRanges(lsh);
-          if (!s.ok()) return s;
-          core::SemanticParams sem;
-          sem.w = p.GetInt("w", 5);
-          sem.mode = p.GetEnum<core::SemanticMode>(
-              "mode", core::SemanticMode::kOr,
-              {{"or", core::SemanticMode::kOr},
-               {"and", core::SemanticMode::kAnd}});
-          sem.seed = p.GetUint64("sem-seed", 11);
-          if (sem.w < 1) return RangeError("w", ">= 1");
-          *out = std::make_unique<core::SemanticAwareLshBlocker>(
-              std::move(lsh), sem, domain.semantics);
-          return Status::Ok();
-        });
-  }
+  r.Register(
+      SaLshInfo("semantic-aware LSH (the paper): minhash tables gated by a "
+                "w-way semantic hash"),
+      [](ParamMap& p, std::unique_ptr<BlockingTechnique>* out) {
+        SaLshConfig config;
+        Status s = ReadSaLsh(p, &config);
+        if (!s.ok()) return s;
+        *out = std::make_unique<core::SemanticAwareLshBlocker>(
+            std::move(config.lsh), config.sem, std::move(config.semantics));
+        return Status::Ok();
+      });
 
   {
     std::vector<ParamDoc> docs = LshDocs();
@@ -488,8 +416,8 @@ void RegisterLshFamily(BlockerRegistry& r) {
          "adding tables",
          {"mplsh"}, std::move(docs)},
         [](ParamMap& p, std::unique_ptr<BlockingTechnique>* out) {
-          core::LshParams lsh = LshFromParams(p);
-          Status s = CheckLshRanges(lsh);
+          core::LshParams lsh;
+          Status s = ReadLsh(p, &lsh);
           if (!s.ok()) return s;
           int probes = p.GetInt("probes", 2);
           if (probes < 0) return RangeError("probes", ">= 0");
@@ -508,8 +436,8 @@ void RegisterLshFamily(BlockerRegistry& r) {
          "LSH forest: self-tuning variable-length minhash prefixes",
          {"lsh-forest"}, std::move(docs)},
         [](ParamMap& p, std::unique_ptr<BlockingTechnique>* out) {
-          core::LshParams lsh = LshFromParams(p);
-          Status s = CheckLshRanges(lsh);
+          core::LshParams lsh;
+          Status s = ReadLsh(p, &lsh);
           if (!s.ok()) return s;
           int depth = p.GetInt("depth", 10);
           int max_block = p.GetInt("max-block", 25);
@@ -531,8 +459,8 @@ void RegisterLshFamily(BlockerRegistry& r) {
          "HARRA-style iterative LSH: merge co-bucketed records and re-hash",
          {"iter-lsh"}, std::move(docs)},
         [](ParamMap& p, std::unique_ptr<BlockingTechnique>* out) {
-          core::LshParams lsh = LshFromParams(p);
-          Status s = CheckLshRanges(lsh);
+          core::LshParams lsh;
+          Status s = ReadLsh(p, &lsh);
           if (!s.ok()) return s;
           double merge = p.GetDouble("merge-threshold", 0.5);
           int iterations = p.GetInt("iterations", 3);
@@ -549,15 +477,17 @@ void RegisterLshFamily(BlockerRegistry& r) {
 
 }  // namespace
 
-namespace internal {
-
-void RegisterBuiltinBlockers(BlockerRegistry& registry) {
-  RegisterKeyBased(registry);
-  RegisterSuffixAndEmbedding(registry);
-  RegisterCanopyAndMeta(registry);
-  RegisterLshFamily(registry);
+template <>
+BlockerRegistry& BlockerRegistry::Global() {
+  static BlockerRegistry* registry = [] {
+    auto* r = new BlockerRegistry("technique");
+    RegisterKeyBased(*r);
+    RegisterSuffixAndEmbedding(*r);
+    RegisterCanopyAndMeta(*r);
+    RegisterLshFamily(*r);
+    return r;
+  }();
+  return *registry;
 }
-
-}  // namespace internal
 
 }  // namespace sablock::api

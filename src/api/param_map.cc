@@ -1,6 +1,7 @@
 #include "api/param_map.h"
 
 #include <cerrno>
+#include <cmath>
 #include <climits>
 #include <cstdlib>
 
@@ -75,9 +76,12 @@ double ParamMap::GetDouble(const std::string& key, double fallback) {
   errno = 0;
   char* end = nullptr;
   double v = std::strtod(it->second.c_str(), &end);
-  if (it->second.empty() || *end != '\0' || errno == ERANGE) {
-    RecordError("param '" + key + "': expected number, got '" + it->second +
-                "'");
+  // NaN would slip past every "x < lo || x > hi" range check below the
+  // factories; no double parameter has a meaningful infinity either.
+  if (it->second.empty() || *end != '\0' || errno == ERANGE ||
+      !std::isfinite(v)) {
+    RecordError("param '" + key + "': expected a finite number, got '" +
+                it->second + "'");
     return fallback;
   }
   return v;

@@ -1,83 +1,36 @@
 #include "api/registry.h"
 
-#include <algorithm>
-#include <utility>
-
-#include "common/check.h"
-#include "common/string_util.h"
-
 namespace sablock::api {
 
-BlockerRegistry& BlockerRegistry::Global() {
-  static BlockerRegistry* registry = [] {
-    auto* r = new BlockerRegistry();
-    internal::RegisterBuiltinBlockers(*r);
-    return r;
-  }();
-  return *registry;
+namespace {
+
+/// `text` left-aligned in a field of `width` columns (printf's "%-Ns").
+std::string Pad(const std::string& text, size_t width) {
+  return text.size() >= width ? text
+                              : text + std::string(width - text.size(), ' ');
 }
 
-void BlockerRegistry::Register(BlockerInfo info, Factory factory) {
-  SABLOCK_CHECK_MSG(!info.name.empty(), "registry: empty technique name");
-  const size_t slot = entries_.size();
-  auto claim = [&](const std::string& name) {
-    bool inserted = index_.emplace(ToLower(name), slot).second;
-    SABLOCK_CHECK_MSG(inserted, name.c_str());
-  };
-  claim(info.name);
-  for (const std::string& alias : info.aliases) claim(alias);
-  entries_.emplace_back(std::move(info), std::move(factory));
-}
+}  // namespace
 
-Status BlockerRegistry::Create(
-    const std::string& spec_string,
-    std::unique_ptr<core::BlockingTechnique>* out) const {
-  BlockerSpec spec;
-  Status status = BlockerSpec::Parse(spec_string, &spec);
-  if (!status.ok()) return status;
-  return Create(std::move(spec), out);
-}
-
-Status BlockerRegistry::Create(
-    BlockerSpec spec, std::unique_ptr<core::BlockingTechnique>* out) const {
-  out->reset();
-  auto it = index_.find(ToLower(spec.name));
-  if (it == index_.end()) {
-    std::string known;
-    for (const BlockerInfo& info : List()) {
-      if (!known.empty()) known += ", ";
-      known += info.name;
+std::string FormatEntries(const std::vector<BlockerInfo>& infos) {
+  std::string out;
+  for (const BlockerInfo& info : infos) {
+    std::string aliases;
+    for (const std::string& alias : info.aliases) {
+      aliases += aliases.empty() ? " (alias: " : ", ";
+      aliases += alias;
     }
-    return Status::Error("unknown technique '" + spec.name +
-                         "' (known: " + known + ")");
+    if (!aliases.empty()) aliases += ")";
+    out += "  " + Pad(info.name, 8) + aliases + "\n";
+    out += "    " + info.summary + "\n";
+    for (const ParamDoc& param : info.params) {
+      const std::string& fallback =
+          param.default_value.empty() ? "-" : param.default_value;
+      out += "      " + Pad(param.name, 16) + " default=" + Pad(fallback, 6) +
+             " " + param.help + "\n";
+    }
   }
-  const auto& [info, factory] = entries_[it->second];
-  Status status = factory(spec.params, out);
-  if (!status.ok()) {
-    return Status::Error(info.name + ": " + status.message());
-  }
-  status = spec.params.Finish();
-  if (!status.ok()) {
-    out->reset();
-    return Status::Error(info.name + ": " + status.message());
-  }
-  SABLOCK_CHECK(*out != nullptr);
-  return Status::Ok();
-}
-
-bool BlockerRegistry::Contains(const std::string& name) const {
-  return index_.count(ToLower(name)) > 0;
-}
-
-std::vector<BlockerInfo> BlockerRegistry::List() const {
-  std::vector<BlockerInfo> infos;
-  infos.reserve(entries_.size());
-  for (const auto& [info, factory] : entries_) infos.push_back(info);
-  std::sort(infos.begin(), infos.end(),
-            [](const BlockerInfo& a, const BlockerInfo& b) {
-              return a.name < b.name;
-            });
-  return infos;
+  return out;
 }
 
 }  // namespace sablock::api

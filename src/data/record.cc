@@ -42,6 +42,27 @@ size_t Schema::RequireIndex(std::string_view name) const {
   return static_cast<size_t>(idx);
 }
 
+std::vector<int> Schema::Positions(
+    const std::vector<std::string>& names) const {
+  std::vector<int> positions;
+  positions.reserve(names.size());
+  for (const std::string& name : names) positions.push_back(IndexOf(name));
+  return positions;
+}
+
+std::string BlockingText(std::span<const std::string_view> row,
+                         std::span<const int> positions) {
+  std::string joined;
+  for (int position : positions) {
+    if (position < 0) continue;
+    std::string_view v = row[static_cast<size_t>(position)];
+    if (v.empty()) continue;
+    if (!joined.empty()) joined.push_back(' ');
+    joined.append(v);
+  }
+  return NormalizeForMatching(joined);
+}
+
 Dataset::Dataset(const Dataset& other)
     : schema_(other.schema_),
       arena_(other.arena_),
@@ -148,14 +169,7 @@ std::string_view Dataset::Value(RecordId id, std::string_view attribute) const {
 
 std::string Dataset::ConcatenatedValues(
     RecordId id, const std::vector<std::string>& attributes) const {
-  std::string joined;
-  for (const std::string& attr : attributes) {
-    std::string_view v = Value(id, attr);
-    if (v.empty()) continue;
-    if (!joined.empty()) joined.push_back(' ');
-    joined.append(v);
-  }
-  return NormalizeForMatching(joined);
+  return BlockingText(Values(id), schema_.Positions(attributes));
 }
 
 uint64_t Dataset::CountTrueMatchPairs() const {

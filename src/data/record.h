@@ -42,6 +42,9 @@ class Schema {
   /// Index of an attribute name; aborts if absent.
   size_t RequireIndex(std::string_view name) const;
 
+  /// IndexOf for each name, in order (-1 where absent).
+  std::vector<int> Positions(const std::vector<std::string>& names) const;
+
   size_t size() const { return names_.size(); }
   const std::vector<std::string>& names() const { return names_; }
 
@@ -57,6 +60,14 @@ class Schema {
   std::unordered_map<std::string, size_t, TransparentHash, std::equal_to<>>
       index_;
 };
+
+/// The canonical "blocking text" of one row: the non-empty values at
+/// `positions` (negative positions are skipped) joined by single spaces,
+/// normalized for matching (lower-case alnum). The batch feature columns
+/// (Dataset::ConcatenatedValues) and the incremental indexes both build
+/// their text with it.
+std::string BlockingText(std::span<const std::string_view> row,
+                         std::span<const int> positions);
 
 /// A record is a flat list of attribute values aligned with a Schema.
 /// Used as the *input* type of Dataset::Add; stored records live in the
@@ -145,10 +156,9 @@ class Dataset {
   /// does not exist in the schema.
   std::string_view Value(RecordId id, std::string_view attribute) const;
 
-  /// Concatenation of the values of `attributes` in record `id`, separated
-  /// by single spaces, normalized for matching (lower-case alnum). This is
-  /// the canonical "blocking text" of a record. Techniques should prefer
-  /// the cached copy in features() over recomputing this per call.
+  /// BlockingText of record `id` over `attributes` (attributes the schema
+  /// lacks contribute nothing). Techniques should prefer the cached copy
+  /// in features() over recomputing this per call.
   std::string ConcatenatedValues(
       RecordId id, const std::vector<std::string>& attributes) const;
 

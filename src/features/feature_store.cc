@@ -163,10 +163,11 @@ void FeatureStore::BuildTexts(const std::vector<std::string>& attributes,
                               TextColumn* out) const {
   obs::ObsSpan span("features.build.text");
   out->texts.resize(snapshot_.size());
+  const std::vector<int> positions = snapshot_.schema().Positions(attributes);
   ParallelFor(out->texts.size(), kRecordGrain, [&](size_t begin, size_t end) {
     for (size_t id = begin; id < end; ++id) {
-      out->texts[id] = snapshot_.ConcatenatedValues(
-          static_cast<data::RecordId>(id), attributes);
+      out->texts[id] = data::BlockingText(
+          snapshot_.Values(static_cast<data::RecordId>(id)), positions);
     }
   });
 }

@@ -1,16 +1,13 @@
-// Registers every incremental index with the global IndexRegistry. Spec
-// names, aliases, parameter names and defaults deliberately match the
-// corresponding batch techniques in api/builtin_blockers.cc — one spec
-// string describes both sides, and the parity goldens rely on that.
+// Registers every incremental index with the global IndexRegistry. Names,
+// aliases, parameters and their checks come from the same readers the
+// batch techniques use (api/technique_params.h), so one spec string
+// describes both sides and the parity goldens build both from it.
 
 #include <memory>
 #include <string>
 #include <utility>
-#include <vector>
 
-#include "baselines/blocking_key.h"
-#include "core/domains.h"
-#include "core/lsh_blocker.h"
+#include "api/technique_params.h"
 #include "index/index_registry.h"
 #include "index/lsh_index.h"
 #include "index/sorted_index.h"
@@ -19,119 +16,61 @@
 namespace sablock::index {
 namespace {
 
-Status RangeError(const std::string& key, const std::string& constraint) {
-  return Status::Error("param '" + key + "': must be " + constraint);
-}
-
-api::ParamDoc AttrsDoc() {
-  return {"attrs", "", "'+'-separated blocking attributes"};
-}
-
-core::LshParams LshFromParams(api::ParamMap& p) {
-  core::LshParams lsh;
-  lsh.k = p.GetInt("k", lsh.k);
-  lsh.l = p.GetInt("l", lsh.l);
-  lsh.q = p.GetInt("q", lsh.q);
-  lsh.attributes = p.GetStringList("attrs", {});
-  lsh.seed = p.GetUint64("seed", lsh.seed);
-  return lsh;
-}
-
-Status CheckLshRanges(const core::LshParams& lsh) {
-  if (lsh.k < 1) return RangeError("k", ">= 1");
-  if (lsh.l < 1) return RangeError("l", ">= 1");
-  if (lsh.q < 1) return RangeError("q", ">= 1");
-  return Status::Ok();
-}
-
-std::vector<api::ParamDoc> LshDocs() {
-  return {{"k", "4", "minhash rows per table"},
-          {"l", "63", "number of hash tables"},
-          {"q", "3", "q-gram size for shingling"},
-          AttrsDoc(),
-          {"seed", "7", "hash-family seed"}};
-}
-
-}  // namespace
-
-namespace internal {
-
 void RegisterBuiltinIndexes(IndexRegistry& r) {
+  r.Register(api::LshInfo("incremental minhash-LSH banding tables"),
+             [](api::ParamMap& p, std::unique_ptr<IncrementalIndex>* out) {
+               core::LshParams lsh;
+               Status s = api::ReadLsh(p, &lsh);
+               if (!s.ok()) return s;
+               *out = std::make_unique<LshIndex>(std::move(lsh));
+               return Status::Ok();
+             });
+
   r.Register(
-      {"lsh", "incremental minhash-LSH banding tables", {"plain-lsh"},
-       LshDocs()},
+      api::SaLshInfo("incremental semantic-aware LSH: banding tables gated "
+                     "by a w-way semantic hash"),
       [](api::ParamMap& p, std::unique_ptr<IncrementalIndex>* out) {
-        core::LshParams lsh = LshFromParams(p);
-        Status s = CheckLshRanges(lsh);
+        api::SaLshConfig config;
+        Status s = api::ReadSaLsh(p, &config);
         if (!s.ok()) return s;
-        *out = std::make_unique<LshIndex>(std::move(lsh));
-        return Status::Ok();
-      });
-
-  {
-    std::vector<api::ParamDoc> docs = LshDocs();
-    docs.push_back({"w", "5", "semantic hash width (semhash draws/table)"});
-    docs.push_back({"mode", "or", "semantic combination (or|and)"});
-    docs.push_back({"domain", "bib", "semantic domain (bib|voter)"});
-    docs.push_back({"sem-seed", "11", "semantic-function draw seed"});
-    r.Register(
-        {"sa-lsh",
-         "incremental semantic-aware LSH: banding tables gated by a w-way "
-         "semantic hash",
-         {"salsh"}, std::move(docs)},
-        [](api::ParamMap& p, std::unique_ptr<IncrementalIndex>* out) {
-          enum class DomainKind { kBib, kVoter };
-          DomainKind kind = p.GetEnum<DomainKind>(
-              "domain", DomainKind::kBib,
-              {{"bib", DomainKind::kBib}, {"voter", DomainKind::kVoter}});
-          core::Domain domain = kind == DomainKind::kVoter
-                                    ? core::MakeVoterDomain()
-                                    : core::MakeBibliographicDomain();
-          core::LshParams lsh = LshFromParams(p);
-          if (lsh.attributes.empty()) {
-            lsh.attributes = domain.blocking_attributes;
-          }
-          Status s = CheckLshRanges(lsh);
-          if (!s.ok()) return s;
-          core::SemanticParams sem;
-          sem.w = p.GetInt("w", 5);
-          sem.mode = p.GetEnum<core::SemanticMode>(
-              "mode", core::SemanticMode::kOr,
-              {{"or", core::SemanticMode::kOr},
-               {"and", core::SemanticMode::kAnd}});
-          sem.seed = p.GetUint64("sem-seed", 11);
-          if (sem.w < 1) return RangeError("w", ">= 1");
-          *out = std::make_unique<SaLshIndex>(std::move(lsh), sem,
-                                              domain.semantics);
-          return Status::Ok();
-        });
-  }
-
-  r.Register(
-      {"token-blocking", "incremental token-blocking postings", {"token"},
-       {AttrsDoc()}},
-      [](api::ParamMap& p, std::unique_ptr<IncrementalIndex>* out) {
-        *out = std::make_unique<TokenPostingsIndex>(
-            p.GetStringList("attrs", {}));
+        *out = std::make_unique<SaLshIndex>(
+            std::move(config.lsh), config.sem, std::move(config.semantics));
         return Status::Ok();
       });
 
   r.Register(
-      {"sor-a",
-       "incremental array-based sorted neighbourhood: fixed window over "
-       "key-sorted records",
-       {"sorted", "sorn"},
-       {AttrsDoc(), {"window", "3", "sliding-window size (>= 2)"}}},
+      api::TokenBlockingInfo("incremental token-blocking postings"),
       [](api::ParamMap& p, std::unique_ptr<IncrementalIndex>* out) {
-        baselines::BlockingKeyDef key =
-            baselines::ExactKey(p.GetStringList("attrs", {}));
-        int window = p.GetInt("window", 3);
-        if (window < 2) return RangeError("window", ">= 2");
+        *out = std::make_unique<TokenPostingsIndex>(api::ReadTokenBlocking(p));
+        return Status::Ok();
+      });
+
+  r.Register(
+      api::SortedArrayInfo("incremental array-based sorted neighbourhood: "
+                           "fixed window over key-sorted records"),
+      [](api::ParamMap& p, std::unique_ptr<IncrementalIndex>* out) {
+        baselines::BlockingKeyDef key;
+        int window = 0;
+        Status s = api::ReadSortedArray(p, &key, &window);
+        if (!s.ok()) return s;
         *out = std::make_unique<SortedWindowIndex>(std::move(key), window);
         return Status::Ok();
       });
 }
 
-}  // namespace internal
-
+}  // namespace
 }  // namespace sablock::index
+
+namespace sablock::api {
+
+template <>
+index::IndexRegistry& index::IndexRegistry::Global() {
+  static index::IndexRegistry* registry = [] {
+    auto* r = new index::IndexRegistry("index");
+    index::RegisterBuiltinIndexes(*r);
+    return r;
+  }();
+  return *registry;
+}
+
+}  // namespace sablock::api

@@ -74,6 +74,13 @@ class IncrementalIndex {
   virtual size_t size() const = 0;
 };
 
+/// Resolves an index's blocking attributes to positions in the bound
+/// schema, once per Bind; an error names the first attribute the schema
+/// lacks.
+Status ResolveAttributes(const data::Schema& schema,
+                         const std::vector<std::string>& attributes,
+                         std::vector<int>* positions);
+
 /// Equivalence bridge, batch side -> index side: binds `index` to the
 /// dataset's schema and inserts every record in id order. Aborts on a
 /// Bind error (caller bug: the spec's attributes must exist in the

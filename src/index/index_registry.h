@@ -1,60 +1,25 @@
 #ifndef SABLOCK_INDEX_INDEX_REGISTRY_H_
 #define SABLOCK_INDEX_INDEX_REGISTRY_H_
 
-#include <functional>
-#include <map>
-#include <memory>
-#include <string>
-#include <vector>
-
-#include "api/blocker_spec.h"
 #include "api/registry.h"
-#include "common/status.h"
 #include "index/incremental_index.h"
 
 namespace sablock::index {
 
-/// Maps spec strings to IncrementalIndex factories — the serving-side
-/// mirror of api::BlockerRegistry. Registered names reuse the batch spec
-/// grammar and parameter names verbatim ("sa-lsh:k=4,l=12,domain=bib"),
-/// so one spec string describes both the batch technique and its
-/// incremental index; the index/batch parity goldens build both sides
-/// from the same string.
-class IndexRegistry {
- public:
-  using Factory = std::function<Status(
-      api::ParamMap& params, std::unique_ptr<IncrementalIndex>* out)>;
-
-  /// The process-wide registry with all built-in indexes registered.
-  static IndexRegistry& Global();
-
-  /// Registers an index. Name and alias collisions abort.
-  void Register(api::BlockerInfo info, Factory factory);
-
-  /// Parses `spec_string` and builds the index.
-  Status Create(const std::string& spec_string,
-                std::unique_ptr<IncrementalIndex>* out) const;
-
-  /// Builds the index described by a parsed spec (consumes its params).
-  Status Create(api::BlockerSpec spec,
-                std::unique_ptr<IncrementalIndex>* out) const;
-
-  /// True if `name` (canonical or alias, any case) is registered.
-  bool Contains(const std::string& name) const;
-
-  /// Canonical entries, sorted by name.
-  std::vector<api::BlockerInfo> List() const;
-
- private:
-  std::vector<std::pair<api::BlockerInfo, Factory>> entries_;
-  std::map<std::string, size_t> index_;  // name or alias -> entries_ index
-};
-
-namespace internal {
-/// Defined in builtin_indexes.cc; called once by Global().
-void RegisterBuiltinIndexes(IndexRegistry& registry);
-}  // namespace internal
+/// IncrementalIndex factories by spec name, the serving side of
+/// api::BlockerRegistry. Names, aliases and parameters are the batch
+/// techniques' (both sides read them through api/technique_params.h), so
+/// one spec string ("sa-lsh:k=4,l=12,domain=bib") describes the batch
+/// technique and its incremental index; the index/batch parity goldens
+/// build both sides from the same string. The built-ins register in
+/// builtin_indexes.cc.
+using IndexRegistry = api::Registry<IncrementalIndex>;
 
 }  // namespace sablock::index
+
+namespace sablock::api {
+template <>
+index::IndexRegistry& index::IndexRegistry::Global();
+}  // namespace sablock::api
 
 #endif  // SABLOCK_INDEX_INDEX_REGISTRY_H_

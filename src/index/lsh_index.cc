@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/check.h"
-#include "common/string_util.h"
 #include "index/sorted_ids.h"
 #include "text/qgram.h"
 
@@ -12,39 +11,13 @@ namespace sablock::index {
 
 namespace {
 
-/// Resolves the blocking attributes to schema positions; error on any
-/// attribute the schema does not have.
-Status ResolveAttributes(const data::Schema& schema,
-                         const std::vector<std::string>& attributes,
-                         std::vector<int>* out) {
-  out->clear();
-  for (const std::string& attr : attributes) {
-    int idx = schema.IndexOf(attr);
-    if (idx < 0) {
-      return Status::Error("index attribute '" + attr +
-                           "' is not in the schema");
-    }
-    out->push_back(idx);
-  }
-  return Status::Ok();
-}
-
 /// The record's minhash signature, computed exactly as the batch pipeline
-/// does: blocking text (non-empty attribute values joined by spaces,
-/// normalized) -> distinct q-gram hashes -> minhash rows.
+/// does: blocking text -> distinct q-gram hashes -> minhash rows.
 std::vector<uint64_t> RowSignature(std::span<const std::string_view> values,
                                    const std::vector<int>& attr_index, int q,
                                    const core::MinHasher& hasher) {
-  std::string joined;
-  for (int idx : attr_index) {
-    std::string_view v = values[static_cast<size_t>(idx)];
-    if (v.empty()) continue;
-    if (!joined.empty()) joined.push_back(' ');
-    joined.append(v);
-  }
-  std::vector<uint64_t> shingles =
-      text::QGramHashes(NormalizeForMatching(joined), q);
-  return hasher.Signature(shingles);
+  return hasher.Signature(
+      text::QGramHashes(data::BlockingText(values, attr_index), q));
 }
 
 /// Streams one table's buckets with >= 2 records in ascending bucket-key

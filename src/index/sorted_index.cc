@@ -20,13 +20,12 @@ std::string SortedWindowIndex::name() const {
 
 Status SortedWindowIndex::Bind(const data::Schema& schema) {
   SABLOCK_CHECK_MSG(!bound_, "index already bound");
+  std::vector<std::string> attributes;
   for (const baselines::KeyComponent& comp : key_.components) {
-    if (schema.IndexOf(comp.attribute) < 0) {
-      return Status::Error("index attribute '" + comp.attribute +
-                           "' is not in the schema");
-    }
+    attributes.push_back(comp.attribute);
   }
-  schema_ = schema;
+  Status s = ResolveAttributes(schema, attributes, &key_positions_);
+  if (!s.ok()) return s;
   bound_ = true;
   return Status::Ok();
 }
@@ -34,11 +33,10 @@ Status SortedWindowIndex::Bind(const data::Schema& schema) {
 std::string SortedWindowIndex::KeyOf(
     std::span<const std::string_view> values) const {
   std::string key;
-  for (const baselines::KeyComponent& comp : key_.components) {
-    int idx = schema_.IndexOf(comp.attribute);
-    std::string value =
-        NormalizeForMatching(values[static_cast<size_t>(idx)]);
-    baselines::AppendKeyComponent(comp, value, &key);
+  for (size_t i = 0; i < key_.components.size(); ++i) {
+    std::string value = NormalizeForMatching(
+        values[static_cast<size_t>(key_positions_[i])]);
+    baselines::AppendKeyComponent(key_.components[i], value, &key);
   }
   return key;
 }

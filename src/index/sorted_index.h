@@ -32,7 +32,7 @@ class SortedWindowIndex : public IncrementalIndex {
 
  private:
   /// The probe's blocking-key value, computed exactly as the batch
-  /// KeyBuilder would (one-row scratch dataset through MakeKey).
+  /// KeyBuilder would.
   std::string KeyOf(std::span<const std::string_view> values) const;
 
   /// The sorted record order (key-ascending, id-ascending within key) —
@@ -41,7 +41,7 @@ class SortedWindowIndex : public IncrementalIndex {
 
   baselines::BlockingKeyDef key_;
   int window_size_;
-  data::Schema schema_;
+  std::vector<int> key_positions_;  // per key component, set by Bind
   bool bound_ = false;
 
   std::map<std::string, std::vector<data::RecordId>> buckets_;

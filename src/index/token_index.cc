@@ -15,33 +15,18 @@ std::string TokenPostingsIndex::name() const { return "TokenIndex"; }
 
 Status TokenPostingsIndex::Bind(const data::Schema& schema) {
   SABLOCK_CHECK_MSG(!bound_, "index already bound");
-  attr_index_.clear();
-  for (const std::string& attr : attributes_) {
-    int idx = schema.IndexOf(attr);
-    if (idx < 0) {
-      return Status::Error("index attribute '" + attr +
-                           "' is not in the schema");
-    }
-    attr_index_.push_back(idx);
-  }
+  Status s = ResolveAttributes(schema, attributes_, &attr_index_);
+  if (!s.ok()) return s;
   bound_ = true;
   return Status::Ok();
 }
 
 std::vector<std::string> TokenPostingsIndex::TokensOf(
     std::span<const std::string_view> values) const {
-  // Exactly Dataset::ConcatenatedValues over the bound attributes (the
-  // text the batch technique's token column is built from), then the
-  // token column's distinct-sorted tokenization.
-  std::string joined;
-  for (int idx : attr_index_) {
-    std::string_view v = values[static_cast<size_t>(idx)];
-    if (v.empty()) continue;
-    if (!joined.empty()) joined.push_back(' ');
-    joined.append(v);
-  }
+  // The batch token column's text and tokenization: distinct sorted
+  // words of the blocking text.
   std::vector<std::string> tokens =
-      SplitWords(NormalizeForMatching(joined));
+      SplitWords(data::BlockingText(values, attr_index_));
   std::sort(tokens.begin(), tokens.end());
   tokens.erase(std::unique(tokens.begin(), tokens.end()), tokens.end());
   return tokens;

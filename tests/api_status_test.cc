@@ -1,7 +1,7 @@
 // Tests for the value-returning StatusOr construction paths: the
-// BlockerRegistry, the StageRegistry and pipeline::Build each expose a
-// Create/Build overload that turns every malformed spec into a
-// diagnostic Status instead of a CHECK failure. One test per diagnostic
+// BlockerRegistry, the StageRegistry, the IndexRegistry and
+// pipeline::Build each expose a Create/Build overload that turns every
+// malformed spec into a diagnostic Status instead of a CHECK failure. One test per diagnostic
 // class pins the message a user actually sees.
 
 #include <gtest/gtest.h>
@@ -11,6 +11,7 @@
 
 #include "api/registry.h"
 #include "common/statusor.h"
+#include "index/index_registry.h"
 #include "pipeline/pipeline.h"
 #include "pipeline/stage_registry.h"
 
@@ -96,6 +97,23 @@ TEST(StageStatusOrTest, UnknownStageNamesItAndListsTheRegistry) {
 TEST(StageStatusOrTest, StageParamValidationSurfacesAsStatus) {
   std::string message = StageError("progressive:pairs=0");
   EXPECT_NE(message.find("pairs"), std::string::npos) << message;
+}
+
+TEST(IndexStatusOrTest, OkPathYieldsAnIndex) {
+  StatusOr<std::unique_ptr<index::IncrementalIndex>> result =
+      index::IndexRegistry::Global().Create("token:attrs=name");
+  ASSERT_TRUE(result.ok()) << result.status().message();
+  ASSERT_NE(*result, nullptr);
+}
+
+TEST(IndexStatusOrTest, UnknownIndexNamesItAndListsTheRegistry) {
+  StatusOr<std::unique_ptr<index::IncrementalIndex>> result =
+      index::IndexRegistry::Global().Create("nope:attrs=name");
+  ASSERT_FALSE(result.ok());
+  const std::string& message = result.status().message();
+  EXPECT_NE(message.find("unknown index 'nope'"), std::string::npos)
+      << message;
+  EXPECT_NE(message.find("sa-lsh"), std::string::npos) << message;
 }
 
 TEST(PipelineBuildStatusOrTest, OkPathBuildsTheFullChain) {

@@ -5,10 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "api/registry.h"
 #include "baselines/blocking_key.h"
 #include "core/blocking.h"
 #include "index/incremental_index.h"
@@ -181,6 +183,64 @@ TEST(IndexRegistryTest, RejectsUnknownNameAndBadParams) {
       IndexRegistry::Global().Create("sor-a:window=1", &index).ok());
   EXPECT_FALSE(
       IndexRegistry::Global().Create("lsh:bogus-param=3", &index).ok());
+}
+
+/// The diagnostic `spec` gets from `registry` ("" if it builds).
+template <typename Registry>
+std::string CreateError(const Registry& registry, const std::string& spec) {
+  auto result = registry.Create(spec);
+  return result.ok() ? "" : result.status().message();
+}
+
+TEST(IndexRegistryTest, DefinitionsMatchTheBatchTechniques) {
+  // One spec string must mean the same thing on both sides: every index
+  // has a batch technique of the same canonical name, aliases and params.
+  const api::BlockerRegistry& batch = api::BlockerRegistry::Global();
+  std::vector<api::BlockerInfo> techniques = batch.List();
+  for (const api::BlockerInfo& index_info : IndexRegistry::Global().List()) {
+    SCOPED_TRACE(index_info.name);
+    auto it = std::find_if(techniques.begin(), techniques.end(),
+                           [&](const api::BlockerInfo& info) {
+                             return info.name == index_info.name;
+                           });
+    ASSERT_NE(it, techniques.end());
+    EXPECT_EQ(it->aliases, index_info.aliases);
+    ASSERT_EQ(it->params.size(), index_info.params.size());
+    for (size_t i = 0; i < it->params.size(); ++i) {
+      EXPECT_EQ(it->params[i].name, index_info.params[i].name);
+      EXPECT_EQ(it->params[i].default_value,
+                index_info.params[i].default_value);
+      EXPECT_EQ(it->params[i].help, index_info.params[i].help);
+    }
+  }
+}
+
+TEST(IndexRegistryTest, BadSpecsGetTheBatchDiagnostic) {
+  const api::BlockerRegistry& batch = api::BlockerRegistry::Global();
+  const IndexRegistry& serving = IndexRegistry::Global();
+  for (const char* spec :
+       {"lsh:k=0", "sa-lsh:w=0", "sor-a:window=1", "lsh:k=65536,l=65536",
+        "sa-lsh:k=300,l=300", "token-blocking:bogus=1", "lsh:k=banana"}) {
+    std::string message = CreateError(serving, spec);
+    EXPECT_FALSE(message.empty()) << spec;
+    EXPECT_EQ(message, CreateError(batch, spec)) << spec;
+  }
+  // Only the noun of an unknown name differs.
+  EXPECT_EQ(CreateError(serving, "nope").find("unknown index 'nope'"), 0u);
+  EXPECT_EQ(CreateError(batch, "nope").find("unknown technique 'nope'"), 0u);
+}
+
+TEST(IndexRegistryTest, OverflowingLshProductIsARangeError) {
+  // k*l used to overflow int in the LshIndex constructor and abort in
+  // MinHasher; the shared LSH reader now rejects it on both sides.
+  const std::string expected =
+      "lsh: params 'k', 'l': k*l must be <= 65536 minhash rows per record";
+  EXPECT_EQ(CreateError(IndexRegistry::Global(), "lsh:k=65536,l=65536"),
+            expected);
+  EXPECT_EQ(CreateError(api::BlockerRegistry::Global(),
+                        "lsh:k=65536,l=65536"),
+            expected);
+  EXPECT_EQ(CreateError(IndexRegistry::Global(), "lsh:k=256,l=256"), "");
 }
 
 }  // namespace

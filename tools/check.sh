@@ -41,22 +41,22 @@ mode="${1:-}"
 case "$mode" in
   --tsan)
     cmake -B build-tsan -S . -DSABLOCK_SANITIZE=thread
-    cmake --build build-tsan -j
+    cmake --build build-tsan -j"$(nproc)"
     run_ctest build-tsan -L 'concurrency|service'
     ;;
   --asan)
     cmake -B build-asan -S . -DSABLOCK_SANITIZE=address,undefined
-    cmake --build build-asan -j
+    cmake --build build-asan -j"$(nproc)"
     run_ctest build-asan -j
     ;;
   --quick)
     cmake -B build -S .
-    cmake --build build -j
+    cmake --build build -j"$(nproc)"
     run_ctest build -L 'unit|snapshot|progressive' -j
     ;;
   "")
     cmake -B build -S .
-    cmake --build build -j
+    cmake --build build -j"$(nproc)"
     run_ctest build -j
     ;;
   *)

@@ -140,31 +140,12 @@ void PrintUsage() {
       " --seed) are folded into the spec as defaults.\n");
 }
 
-void PrintEntry(const std::string& name, const std::string& summary,
-                const std::vector<std::string>& alias_list,
-                const std::vector<sablock::api::ParamDoc>& params) {
-  std::string aliases;
-  for (const std::string& alias : alias_list) {
-    aliases += aliases.empty() ? " (alias: " : ", ";
-    aliases += alias;
-  }
-  if (!aliases.empty()) aliases += ")";
-  std::printf("  %-8s%s\n", name.c_str(), aliases.c_str());
-  std::printf("    %s\n", summary.c_str());
-  for (const sablock::api::ParamDoc& param : params) {
-    std::printf("      %-16s default=%-6s %s\n", param.name.c_str(),
-                param.default_value.empty() ? "-"
-                                            : param.default_value.c_str(),
-                param.help.c_str());
-  }
-}
-
 void PrintStages() {
   std::printf("registered pipeline stages:\n\n");
-  for (const sablock::pipeline::StageInfo& info :
-       sablock::pipeline::StageRegistry::Global().List()) {
-    PrintEntry(info.name, info.summary, info.aliases, info.params);
-  }
+  std::fputs(sablock::api::FormatEntries(
+                 sablock::pipeline::StageRegistry::Global().List())
+                 .c_str(),
+             stdout);
   std::printf(
       "\npipeline grammar: \"blocker | stage:key=val,... | stage\", e.g.\n"
       "  \"token-blocking:attrs=authors+title | purge:max_size=500 |\n"
@@ -173,22 +154,21 @@ void PrintStages() {
 
 void PrintIndexes() {
   std::printf("registered incremental indexes (sablock_serve):\n\n");
-  for (const sablock::api::BlockerInfo& info :
-       sablock::index::IndexRegistry::Global().List()) {
-    PrintEntry(info.name, info.summary, info.aliases, info.params);
-  }
+  std::fputs(sablock::api::FormatEntries(
+                 sablock::index::IndexRegistry::Global().List())
+                 .c_str(),
+             stdout);
   std::printf(
       "\nindexes share the technique spec grammar; a fully loaded index\n"
       "reproduces its batch technique's blocks (see README \"Serving\").\n");
 }
 
 void PrintRegistry() {
-  const sablock::api::BlockerRegistry& registry =
-      sablock::api::BlockerRegistry::Global();
   std::printf("registered blocking techniques:\n\n");
-  for (const sablock::api::BlockerInfo& info : registry.List()) {
-    PrintEntry(info.name, info.summary, info.aliases, info.params);
-  }
+  std::fputs(sablock::api::FormatEntries(
+                 sablock::api::BlockerRegistry::Global().List())
+                 .c_str(),
+             stdout);
   std::printf(
       "\nspec grammar: name[:key=val,key=val,...]; list values join\n"
       "elements with '+', e.g. \"lsh:k=4,l=63,attrs=authors+title\"\n\n");

@@ -114,23 +114,10 @@ void PrintUsage() {
 
 void PrintIndexes() {
   std::printf("registered incremental indexes:\n\n");
-  for (const sablock::api::BlockerInfo& info :
-       sablock::index::IndexRegistry::Global().List()) {
-    std::string aliases;
-    for (const std::string& alias : info.aliases) {
-      aliases += aliases.empty() ? " (alias: " : ", ";
-      aliases += alias;
-    }
-    if (!aliases.empty()) aliases += ")";
-    std::printf("  %-16s%s\n", info.name.c_str(), aliases.c_str());
-    std::printf("    %s\n", info.summary.c_str());
-    for (const sablock::api::ParamDoc& param : info.params) {
-      std::printf("      %-16s default=%-6s %s\n", param.name.c_str(),
-                  param.default_value.empty() ? "-"
-                                              : param.default_value.c_str(),
-                  param.help.c_str());
-    }
-  }
+  std::fputs(sablock::api::FormatEntries(
+                 sablock::index::IndexRegistry::Global().List())
+                 .c_str(),
+             stdout);
   std::printf(
       "\nspec grammar matches the batch techniques: "
       "name[:key=val,...], list\nvalues joined with '+', e.g. "

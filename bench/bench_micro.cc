@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "arch/arch.h"
+#include "arch/kernels.h"
 #include "bench_util.h"
 #include "common/flat_map.h"
 #include "common/hashing.h"
@@ -158,6 +159,25 @@ int RunMicro(report::BenchContext& ctx) {
     std::vector<uint64_t> sig(252);
     suite.Case("minhash_signature_into_h252", [&] {
       hasher.SignatureInto(shingles, sig);
+      DoNotOptimize(sig.data());
+    });
+  }
+  {
+    // The distinct-shingle table path of FeatureStore::BuildSignatures:
+    // the same signature as minhash_signature_h135, taken as the
+    // element-wise min of one precomputed table row per shingle.
+    core::MinHasher hasher(135, 7);
+    std::vector<uint64_t> table(shingles.size() * 135);
+    std::vector<uint32_t> ids(shingles.size());
+    for (size_t s = 0; s < shingles.size(); ++s) {
+      hasher.SignatureInto({&shingles[s], 1}, {&table[s * 135], 135});
+      ids[s] = static_cast<uint32_t>(s);
+    }
+    const arch::KernelTable& kernels = arch::ActiveKernels();
+    std::vector<uint64_t> sig(135);
+    suite.Case("minhash_min_rows_h135", [&] {
+      kernels.min_of_rows(table.data(), ids.data(), ids.size(), 135,
+                          sig.data());
       DoNotOptimize(sig.data());
     });
   }

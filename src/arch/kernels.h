@@ -35,6 +35,16 @@ struct KernelTable {
 
   /// Bulk SplitMix64 finalizer: out[i] = Mix64(in[i]). In-place allowed.
   void (*mix64_batch)(const uint64_t* in, size_t n, uint64_t* out);
+
+  /// Element-wise min of selected rows of a row-major table of `width`
+  /// slots per row: out[i] = min over r < num_rows of
+  /// table[row_ids[r] * width + i], or the empty sentinel 2^61-1 when
+  /// num_rows == 0. Every table value must be <= 2^61-1 (minhash slots),
+  /// so the SIMD levels' signed 64-bit compare is exact. Register-blocked
+  /// slot-major loop: a block of slots accumulates in registers while
+  /// the selected rows stream past. `out` must not alias the table.
+  void (*min_of_rows)(const uint64_t* table, const uint32_t* row_ids,
+                      size_t num_rows, size_t width, uint64_t* out);
 };
 
 /// The table for one ISA level. Levels that are not compiled in resolve

@@ -77,6 +77,14 @@ inline __m256i ModMulAdd61(__m256i a, __m256i x, __m256i b) {
   return r;
 }
 
+/// Lane-wise min of values <= 2^61-1 (the signed compare is exact there).
+/// blendv_pd is a plain 64-bit lane select, and cheaper than blendv_epi8.
+inline __m256i Min61(__m256i m, __m256i v) {
+  return _mm256_castpd_si256(_mm256_blendv_pd(
+      _mm256_castsi256_pd(m), _mm256_castsi256_pd(v),
+      _mm256_castsi256_pd(_mm256_cmpgt_epi64(m, v))));
+}
+
 void MinhashSignatureAvx2(const uint64_t* shingles, size_t num_shingles,
                           const uint64_t* a, const uint64_t* b,
                           size_t num_hashes, uint64_t* sig) {
@@ -96,7 +104,7 @@ void MinhashSignatureAvx2(const uint64_t* shingles, size_t num_shingles,
           _mm256_loadu_si256(reinterpret_cast<const __m256i*>(sig + i));
       for (size_t s = tile; s < tile_end; ++s) {
         const __m256i h = ModMulAdd61(va, Set1(shingles[s]), vb);
-        m = _mm256_blendv_epi8(m, h, _mm256_cmpgt_epi64(m, h));
+        m = Min61(m, h);
       }
       _mm256_storeu_si256(reinterpret_cast<__m256i*>(sig + i), m);
     }
@@ -162,11 +170,54 @@ void Mix64BatchAvx2(const uint64_t* in, size_t n, uint64_t* out) {
   for (; i < n; ++i) out[i] = Mix64(in[i]);
 }
 
+inline __m256i LoadU(const uint64_t* p) {
+  return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+}
+
+void MinOfRowsAvx2(const uint64_t* table, const uint32_t* row_ids,
+                   size_t num_rows, size_t width, uint64_t* out) {
+  const __m256i empty = Set1(kP61);
+  size_t i = 0;
+  // 16 slots (four accumulators) per block while the rows stream past.
+  for (; i + 16 <= width; i += 16) {
+    __m256i m0 = empty, m1 = empty, m2 = empty, m3 = empty;
+    for (size_t r = 0; r < num_rows; ++r) {
+      const uint64_t* src =
+          table + static_cast<size_t>(row_ids[r]) * width + i;
+      m0 = Min61(m0, LoadU(src));
+      m1 = Min61(m1, LoadU(src + 4));
+      m2 = Min61(m2, LoadU(src + 8));
+      m3 = Min61(m3, LoadU(src + 12));
+    }
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), m0);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i + 4), m1);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i + 8), m2);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i + 12), m3);
+  }
+  for (; i + 4 <= width; i += 4) {
+    __m256i m = empty;
+    for (size_t r = 0; r < num_rows; ++r) {
+      m = Min61(m, LoadU(table + static_cast<size_t>(row_ids[r]) * width +
+                         i));
+    }
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), m);
+  }
+  for (; i < width; ++i) {  // slot tail
+    uint64_t m = kP61;
+    for (size_t r = 0; r < num_rows; ++r) {
+      const uint64_t v = table[static_cast<size_t>(row_ids[r]) * width + i];
+      m = v < m ? v : m;
+    }
+    out[i] = m;
+  }
+}
+
 const KernelTable kAvx2Table = {
     Isa::kAvx2,
     MinhashSignatureAvx2,
     Fnv1aWindowsAvx2,
     Mix64BatchAvx2,
+    MinOfRowsAvx2,
 };
 
 }  // namespace

@@ -76,11 +76,41 @@ void Mix64BatchScalar(const uint64_t* in, size_t n, uint64_t* out) {
   for (size_t i = 0; i < n; ++i) out[i] = Mix64(in[i]);
 }
 
+void MinOfRowsScalar(const uint64_t* table, const uint32_t* row_ids,
+                     size_t num_rows, size_t width, uint64_t* out) {
+  constexpr uint64_t kEmpty = UniversalHash::kPrime;
+  size_t i = 0;
+  // Four slots per block, each accumulating in a register across rows.
+  for (; i + 4 <= width; i += 4) {
+    uint64_t m0 = kEmpty, m1 = kEmpty, m2 = kEmpty, m3 = kEmpty;
+    for (size_t r = 0; r < num_rows; ++r) {
+      const uint64_t* src = table + static_cast<size_t>(row_ids[r]) * width;
+      m0 = src[i] < m0 ? src[i] : m0;
+      m1 = src[i + 1] < m1 ? src[i + 1] : m1;
+      m2 = src[i + 2] < m2 ? src[i + 2] : m2;
+      m3 = src[i + 3] < m3 ? src[i + 3] : m3;
+    }
+    out[i] = m0;
+    out[i + 1] = m1;
+    out[i + 2] = m2;
+    out[i + 3] = m3;
+  }
+  for (; i < width; ++i) {
+    uint64_t m = kEmpty;
+    for (size_t r = 0; r < num_rows; ++r) {
+      const uint64_t v = table[static_cast<size_t>(row_ids[r]) * width + i];
+      m = v < m ? v : m;
+    }
+    out[i] = m;
+  }
+}
+
 const KernelTable kScalarTable = {
     Isa::kScalar,
     MinhashSignatureScalar,
     Fnv1aWindowsScalar,
     Mix64BatchScalar,
+    MinOfRowsScalar,
 };
 
 }  // namespace

@@ -59,6 +59,14 @@ inline __m128i ModMulAdd61(__m128i a, __m128i x, __m128i b) {
   return r;
 }
 
+/// Lane-wise min of values <= 2^61-1 (the signed compare is exact there).
+/// blendv_pd is a plain 64-bit lane select, and cheaper than blendv_epi8.
+inline __m128i Min61(__m128i m, __m128i v) {
+  return _mm_castpd_si128(
+      _mm_blendv_pd(_mm_castsi128_pd(m), _mm_castsi128_pd(v),
+                    _mm_castsi128_pd(_mm_cmpgt_epi64(m, v))));
+}
+
 void MinhashSignatureSse42(const uint64_t* shingles, size_t num_shingles,
                            const uint64_t* a, const uint64_t* b,
                            size_t num_hashes, uint64_t* sig) {
@@ -78,7 +86,7 @@ void MinhashSignatureSse42(const uint64_t* shingles, size_t num_shingles,
           _mm_loadu_si128(reinterpret_cast<const __m128i*>(sig + i));
       for (size_t s = tile; s < tile_end; ++s) {
         const __m128i h = ModMulAdd61(va, Set1(shingles[s]), vb);
-        m = _mm_blendv_epi8(m, h, _mm_cmpgt_epi64(m, h));
+        m = Min61(m, h);
       }
       _mm_storeu_si128(reinterpret_cast<__m128i*>(sig + i), m);
     }
@@ -144,11 +152,54 @@ void Mix64BatchSse42(const uint64_t* in, size_t n, uint64_t* out) {
   for (; i < n; ++i) out[i] = Mix64(in[i]);
 }
 
+inline __m128i LoadU(const uint64_t* p) {
+  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+}
+
+void MinOfRowsSse42(const uint64_t* table, const uint32_t* row_ids,
+                    size_t num_rows, size_t width, uint64_t* out) {
+  const __m128i empty = Set1(kP61);
+  size_t i = 0;
+  // 8 slots (four accumulators) per block while the rows stream past.
+  for (; i + 8 <= width; i += 8) {
+    __m128i m0 = empty, m1 = empty, m2 = empty, m3 = empty;
+    for (size_t r = 0; r < num_rows; ++r) {
+      const uint64_t* src =
+          table + static_cast<size_t>(row_ids[r]) * width + i;
+      m0 = Min61(m0, LoadU(src));
+      m1 = Min61(m1, LoadU(src + 2));
+      m2 = Min61(m2, LoadU(src + 4));
+      m3 = Min61(m3, LoadU(src + 6));
+    }
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i), m0);
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i + 2), m1);
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i + 4), m2);
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i + 6), m3);
+  }
+  for (; i + 2 <= width; i += 2) {
+    __m128i m = empty;
+    for (size_t r = 0; r < num_rows; ++r) {
+      m = Min61(m, LoadU(table + static_cast<size_t>(row_ids[r]) * width +
+                         i));
+    }
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i), m);
+  }
+  for (; i < width; ++i) {  // slot tail
+    uint64_t m = kP61;
+    for (size_t r = 0; r < num_rows; ++r) {
+      const uint64_t v = table[static_cast<size_t>(row_ids[r]) * width + i];
+      m = v < m ? v : m;
+    }
+    out[i] = m;
+  }
+}
+
 const KernelTable kSse42Table = {
     Isa::kSse42,
     MinhashSignatureSse42,
     Fnv1aWindowsSse42,
     Mix64BatchSse42,
+    MinOfRowsSse42,
 };
 
 }  // namespace

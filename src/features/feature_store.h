@@ -50,19 +50,14 @@ struct ShingleColumn {
 
 /// Per-record minhash signatures for one (attributes, q, num_hashes,
 /// seed) selection — core::MinHasher over the shingle column. Stored as
-/// one flat row-major array (record-major, num_hashes slots per record):
-/// a single allocation for the whole column, written in place by
-/// MinHasher::SignatureInto with no per-record vector churn.
-///
-/// Readers go through `rows`, which either aliases the owning `data`
-/// vector (built columns) or an external immutable region such as a
-/// read-only snapshot mapping kept alive by `retain` (adopted columns —
-/// the matrix is served zero-copy straight out of the file).
+/// one flat row-major matrix (record-major, num_hashes slots per record)
+/// in `rows`, whose storage `retain` keeps alive: the build's own
+/// allocation (built columns) or a read-only snapshot mapping (adopted
+/// columns — the matrix is served zero-copy straight out of the file).
 struct SignatureColumn {
   uint32_t num_hashes = 0;
-  std::vector<uint64_t> data;       // owning storage; empty when adopted
-  std::span<const uint64_t> rows;   // records × num_hashes values
-  std::shared_ptr<const void> retain;  // keep-alive for non-owned rows
+  std::span<const uint64_t> rows;      // records × num_hashes values
+  std::shared_ptr<const void> retain;  // owner of the rows' storage
 
   std::span<const uint64_t> Row(size_t record) const {
     return rows.subspan(record * num_hashes, num_hashes);
@@ -171,6 +166,9 @@ class FeatureStore {
     uint64_t token_builds = 0;
     uint64_t shingle_builds = 0;
     uint64_t signature_builds = 0;
+    /// Signature builds that took the distinct-shingle table path (see
+    /// BuildSignatures); the rest hashed every record directly.
+    uint64_t signature_table_builds = 0;
   };
   Stats stats() const;
 
@@ -220,6 +218,7 @@ class FeatureStore {
   mutable std::atomic<uint64_t> token_builds_{0};
   mutable std::atomic<uint64_t> shingle_builds_{0};
   mutable std::atomic<uint64_t> signature_builds_{0};
+  mutable std::atomic<uint64_t> signature_table_builds_{0};
 };
 
 /// A dataset's window into a FeatureStore: translates the dataset's local

@@ -10,6 +10,9 @@
 #       runs the CLI twice, with `--technique SPEC` and `--pipeline SPEC`,
 #       each writing --blocks-out into WORK_DIR; fails unless both exit 0
 #       and the two block files are byte-identical.
+#   cmake -DCLI=<sablock_cli> -DEXPECT_FAIL=<regex> -P cli_smoke.cmake <args>
+#       runs the CLI once; fails unless it exits 1 and its stderr matches
+#       EXPECT_FAIL (the rejected-input paths).
 
 set(cli_args "")
 set(after_script FALSE)
@@ -36,7 +39,17 @@ function(run_cli out_var)
   set(${out_var} "${out}" PARENT_SCOPE)
 endfunction()
 
-if(DEFINED SPEC)
+if(DEFINED EXPECT_FAIL)
+  execute_process(COMMAND "${CLI}" ${cli_args}
+                  RESULT_VARIABLE rc
+                  OUTPUT_VARIABLE out
+                  ERROR_VARIABLE err)
+  message("${out}${err}")
+  if(NOT rc EQUAL 1 OR NOT err MATCHES "${EXPECT_FAIL}")
+    message(FATAL_ERROR "sablock_cli ${cli_args} exited ${rc}; expected "
+                        "exit 1 with stderr matching '${EXPECT_FAIL}'")
+  endif()
+elseif(DEFINED SPEC)
   set(technique_blocks "${WORK_DIR}/cli_smoke_technique_blocks.csv")
   set(pipeline_blocks "${WORK_DIR}/cli_smoke_pipeline_blocks.csv")
   run_cli(out ${cli_args} --technique "${SPEC}"

@@ -6,11 +6,13 @@
 #include "features/feature_store.h"
 
 #include <algorithm>
+#include <set>
 #include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/parallel.h"
 #include "common/string_util.h"
 #include "core/minhash.h"
 #include "data/cora_generator.h"
@@ -119,6 +121,103 @@ TEST(FeatureStoreTest, SignatureColumnMatchesDirectMinhash) {
   }
 }
 
+// Names and cities over a small pool: thousands of records share a few
+// hundred distinct bigrams. Every 50th record has empty text.
+data::Dataset PooledNames(size_t records) {
+  static const char* const kFirst[] = {"ada", "grace", "alan",
+                                       "edsger", "barbara", "donald"};
+  static const char* const kLast[] = {"lovelace", "hopper", "turing",
+                                      "dijkstra", "liskov", "knuth"};
+  static const char* const kCity[] = {"london", "new york", "paris"};
+  data::Dataset d{data::Schema({"name", "city"})};
+  for (size_t i = 0; i < records; ++i) {
+    if (i % 50 == 7) {
+      d.Add({{"", ""}});
+      continue;
+    }
+    d.Add({{std::string(kFirst[i % 6]) + " " + kLast[(i / 6) % 6],
+            kCity[(i / 36) % 3]}});
+  }
+  return d;
+}
+
+size_t DistinctShingles(const data::Dataset& d,
+                        const std::vector<std::string>& attrs, int q) {
+  std::set<uint64_t> all;
+  for (data::RecordId id = 0; id < d.size(); ++id) {
+    for (uint64_t s : text::QGramHashes(d.ConcatenatedValues(id, attrs), q)) {
+      all.insert(s);
+    }
+  }
+  return all.size();
+}
+
+// Builds the 135-slot signature column of a fresh store under `threads`
+// workers, checks every row against MinHasher::SignatureInto on the
+// record's own shingles, and returns how many builds took the table path.
+uint64_t ExpectRowsMatchPerRecordMinhash(const data::Dataset& d,
+                                         const std::vector<std::string>& attrs,
+                                         int threads) {
+  constexpr int kHashes = 135;
+  FeatureStore store(d);
+  {
+    ParallelScope workers(threads);
+    store.Signatures(attrs, 2, kHashes, 7);
+  }
+  const SignatureColumn& column = store.Signatures(attrs, 2, kHashes, 7);
+  core::MinHasher hasher(kHashes, 7);
+  std::vector<uint64_t> want(kHashes);
+  for (data::RecordId id = 0; id < d.size(); ++id) {
+    hasher.SignatureInto(
+        text::QGramHashes(d.ConcatenatedValues(id, attrs), 2), want);
+    std::span<const uint64_t> got = column.Row(id);
+    EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
+        << "record " << id << " threads " << threads;
+  }
+  return store.stats().signature_table_builds;
+}
+
+TEST(FeatureStoreTest, SignatureTablePathMatchesPerRecordMinhash) {
+  data::Dataset d = PooledNames(3000);
+  ASSERT_LE(DistinctShingles(d, NameCity(), 2) * 8, d.size());
+  for (int threads : {1, 4}) {
+    EXPECT_EQ(ExpectRowsMatchPerRecordMinhash(d, NameCity(), threads), 1u);
+  }
+}
+
+TEST(FeatureStoreTest, SignatureDirectPathMatchesPerRecordMinhash) {
+  data::CoraGeneratorConfig config;
+  config.num_entities = 100;
+  config.num_records = 600;
+  config.seed = 7;
+  data::Dataset d = data::GenerateCoraLike(config);
+  const std::vector<std::string> attrs = {"authors", "title"};
+  ASSERT_GT(DistinctShingles(d, attrs, 2) * 8, d.size());
+  for (int threads : {1, 4}) {
+    EXPECT_EQ(ExpectRowsMatchPerRecordMinhash(d, attrs, threads), 0u);
+  }
+}
+
+TEST(FeatureStoreTest, SignatureTablePathBoundaryIsDistinctTimesEight) {
+  // Pad a pooled dataset with empty-text records (no shingles) up to
+  // exactly distinct × 8 records: the table path is taken there and not
+  // one record below it.
+  data::Dataset base = PooledNames(300);
+  const size_t distinct = DistinctShingles(base, NameCity(), 2);
+  ASSERT_LT(base.size(), distinct * 8 - 1);
+  for (size_t records : {distinct * 8, distinct * 8 - 1}) {
+    data::Dataset d = PooledNames(300);
+    while (d.size() < records) d.Add({{"", ""}});
+    ASSERT_EQ(DistinctShingles(d, NameCity(), 2), distinct);
+    const uint64_t want_table = records == distinct * 8 ? 1 : 0;
+    for (int threads : {1, 4}) {
+      EXPECT_EQ(ExpectRowsMatchPerRecordMinhash(d, NameCity(), threads),
+                want_table)
+          << records << " records";
+    }
+  }
+}
+
 TEST(FeatureStoreTest, DistinctKeysAreDistinctColumns) {
   data::Dataset d = TinyDataset();
   FeatureView features = d.features();
@@ -174,7 +273,7 @@ TEST(FeatureStoreTest, EightThreadsRacingGettersBuildEachCacheOnce) {
     EXPECT_EQ(shingle_cols[t], shingle_cols[0]);
     EXPECT_EQ(sig_cols[t], sig_cols[0]);
   }
-  EXPECT_EQ(sig_cols[0]->data.size(), d.size() * 64);
+  EXPECT_EQ(sig_cols[0]->rows.size(), d.size() * 64);
 }
 
 TEST(FeatureStoreTest, SlicesShareTheParentStoreWithOffset) {

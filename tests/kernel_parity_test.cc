@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -106,6 +107,74 @@ TEST_F(KernelParityTest, Mix64BatchMatchesScalar) {
     for (const KernelTable* t : tables_) {
       t->mix64_batch(in.data(), n, got.data());
       ASSERT_EQ(want, got) << IsaName(t->isa) << " n=" << n;
+    }
+  }
+}
+
+// A 64-row table of `width` slots mixing random minhash values with the
+// extremes 0, 2^61-2 and the empty sentinel 2^61-1.
+std::vector<uint64_t> MinOfRowsTable(size_t width, Rng& rng) {
+  constexpr uint64_t kEmpty = UniversalHash::kPrime;
+  std::vector<uint64_t> table(64 * width);
+  for (uint64_t& v : table) {
+    switch (rng.UniformInt(0, 5)) {
+      case 0: v = 0; break;
+      case 1: v = kEmpty - 1; break;
+      case 2: v = kEmpty; break;
+      default: v = Mix64(rng.UniformInt(0, 1 << 30)) % kEmpty; break;
+    }
+  }
+  return table;
+}
+
+constexpr size_t kMinOfRowsWidths[] = {1, 3, 4, 15, 16, 17, 135, 252};
+constexpr size_t kMinOfRowsCounts[] = {0, 1, 2, 13, 40};
+
+TEST(MinOfRowsTest, ScalarIsElementwiseMinWithEmptySentinel) {
+  const KernelTable& scalar = *ScalarKernelTable();
+  Rng rng(45);
+  for (size_t width : kMinOfRowsWidths) {
+    const std::vector<uint64_t> table = MinOfRowsTable(width, rng);
+    for (size_t num_rows : kMinOfRowsCounts) {
+      std::vector<uint32_t> ids(num_rows);
+      for (uint32_t& id : ids) {
+        id = static_cast<uint32_t>(rng.UniformInt(0, 63));
+      }
+      std::vector<uint64_t> want(width, UniversalHash::kPrime);
+      for (uint32_t id : ids) {
+        for (size_t i = 0; i < width; ++i) {
+          want[i] = std::min(want[i], table[id * width + i]);
+        }
+      }
+      std::vector<uint64_t> got(width, 0);
+      scalar.min_of_rows(table.data(), ids.data(), num_rows, width,
+                         got.data());
+      ASSERT_EQ(want, got) << "w=" << width << " rows=" << num_rows;
+    }
+  }
+}
+
+TEST_F(KernelParityTest, MinOfRowsMatchesScalar) {
+  const KernelTable& scalar = *ScalarKernelTable();
+  Rng rng(47);
+  for (size_t width : kMinOfRowsWidths) {
+    const std::vector<uint64_t> table = MinOfRowsTable(width, rng);
+    for (size_t num_rows : kMinOfRowsCounts) {
+      std::vector<uint32_t> ids(num_rows);
+      for (uint32_t& id : ids) {
+        id = static_cast<uint32_t>(rng.UniformInt(0, 63));
+      }
+      std::vector<uint64_t> want(width), got(width);
+      scalar.min_of_rows(table.data(), ids.data(), num_rows, width,
+                         want.data());
+      for (const KernelTable* t : tables_) {
+        got.assign(width, 0);
+        t->min_of_rows(table.data(), ids.data(), num_rows, width,
+                       got.data());
+        ASSERT_EQ(0, std::memcmp(want.data(), got.data(),
+                                 width * sizeof(uint64_t)))
+            << IsaName(t->isa) << " w=" << width << " rows=" << num_rows;
+      }
     }
   }
 }

@@ -30,6 +30,7 @@
 #include "api/blocker_spec.h"
 #include "api/pipeline_spec.h"
 #include "api/registry.h"
+#include "api/technique_params.h"
 #include "common/string_util.h"
 #include "common/timer.h"
 #include "core/block_sink.h"
@@ -319,17 +320,27 @@ int main(int argc, char** argv) {
   if (!attrs.empty()) {
     blocker_spec.params.SetIfAbsent("attrs", sablock::Join(attrs, "+"));
   }
-  // The effective blocking attributes (from --attrs or the spec itself),
-  // validated against the schema once the dataset is loaded.
+  // The effective blocking attributes (from --attrs, the spec itself or,
+  // for sa-lsh, its domain's paper attributes), validated against the
+  // schema once the dataset is loaded.
+  const bool salsh =
+      blocker_spec.name == "sa-lsh" || blocker_spec.name == "salsh";
+  bool attrs_from_domain = false;
   {
     sablock::api::ParamMap params_peek = blocker_spec.params;
     attrs = params_peek.GetStringList("attrs", {});
+    sablock::api::SaLshConfig salsh_config;
+    // A spec ReadSaLsh rejects fails in pipeline::Build below, with the
+    // registry's own error message.
+    if (salsh && attrs.empty() &&
+        sablock::api::ReadSaLsh(params_peek, &salsh_config).ok()) {
+      attrs = salsh_config.lsh.attributes;
+      attrs_from_domain = true;
+    }
   }
-  // Only sa-lsh carries its own attribute default (the domain's paper
-  // attributes); everything else blocks on nothing without attrs, which
-  // is never what the user wants.
-  if (attrs.empty() && blocker_spec.name != "sa-lsh" &&
-      blocker_spec.name != "salsh") {
+  // Only sa-lsh carries its own attribute default; everything else
+  // blocks on nothing without attrs, which is never what the user wants.
+  if (attrs.empty() && !salsh) {
     std::fprintf(stderr,
                  "error: no blocking attributes — pass --attrs=a,b or an "
                  "attrs= spec param\n");
@@ -355,8 +366,11 @@ int main(int argc, char** argv) {
 
   for (const std::string& a : attrs) {
     if (dataset.schema().IndexOf(a) < 0) {
-      std::fprintf(stderr, "error: attribute '%s' not in schema\n",
-                   a.c_str());
+      std::fprintf(stderr, "error: attribute '%s' not in schema%s\n",
+                   a.c_str(),
+                   attrs_from_domain
+                       ? " (sa-lsh domain default; pass domain= or attrs=)"
+                       : "");
       return 1;
     }
   }

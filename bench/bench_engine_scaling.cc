@@ -1,19 +1,19 @@
 // Engine scalability: SA-LSH (the paper's Voter operating point, k=9,
-// l=15, w=12/OR) on a Voter-like dataset, run through the sharded
-// execution engine at 1, 2, 4 and 8 threads over a pinned shard count.
+// l=15, w=12/OR) on a Voter-like dataset, run through the execution
+// engine at 1, 2, 4 and 8 threads.
 //
-// Because the shard count (not the thread count) defines the computation,
-// every row produces the identical merged BlockCollection — the scenario
-// verifies PC/PQ/RR equality exactly and FAILS (nonzero exit) otherwise —
-// and the time column isolates pure threading speedup over a pre-warmed
-// FeatureStore (cold feature builds are serialized behind the store's
-// once_flag, so they are warmed once, untimed). Reports speedup vs. the
-// 1-thread row; expect ~min(threads, cores, shards)x on idle multi-core
-// hardware (a single-core machine cannot show >1x and the scenario
-// prints the hardware parallelism so that is visible).
+// The threads split the technique's own work (band keys, semantic key
+// parts, radix sort) and emission stays on the calling thread, so every
+// row must emit exactly the blocks() sequence of a plain technique.Run.
+// The scenario compares each row with that reference and FAILS (nonzero
+// exit) on any difference. The feature columns are warmed once, untimed,
+// by the reference run, so the time column isolates the grouping layer
+// rather than the one-time feature build. Reports speedup vs. the
+// 1-thread row; a single-core machine cannot show >1x, and the scenario
+// prints the hardware parallelism so that is visible.
 //
-// Flags: --records=N (default 50000), --shards=M (default 8), plus the
-// runner's --repeat (min wall time over R runs per row).
+// Flags: --records=N (default 50000), plus the runner's --repeat (min
+// wall time over R runs per row).
 
 #include <cstdio>
 #include <string>
@@ -33,15 +33,13 @@ namespace {
 
 int RunEngineScaling(report::BenchContext& ctx) {
   size_t records = ctx.SizeOr("records", 50000, 4000);
-  int shards = static_cast<int>(ctx.SizeOr("shards", 8, 4));
   // Timing rows want best-of-2 even when the runner default is 1.
   int repeat = ctx.repeat > 1 ? ctx.repeat : 2;
 
   std::printf(
-      "Engine scaling: SA-LSH on %zu Voter-like records, %d shards,\n"
+      "Engine scaling: SA-LSH on %zu Voter-like records,\n"
       "best of %d runs per row (hardware threads available: %d)\n\n",
-      records, shards, repeat,
-      sablock::engine::ThreadPool::DefaultThreads());
+      records, repeat, sablock::engine::ThreadPool::DefaultThreads());
 
   sablock::data::Dataset dataset = MakePaperVoter(records);
   const std::string spec_string =
@@ -49,26 +47,19 @@ int RunEngineScaling(report::BenchContext& ctx) {
   std::unique_ptr<sablock::core::BlockingTechnique> technique =
       FromSpec(spec_string);
 
-  // Warm the shared feature cache once, untimed: cold feature-column
-  // builds run single-threaded inside the store's once_flag (every shard
-  // waits on the first), so timing them would Amdahl-cap the speedup
-  // column. With a warm store the rows isolate the engine's parallel
-  // bucketing + merge — the thing this scenario exists to measure.
-  {
-    sablock::core::BlockCollection warmup;
-    technique->Run(dataset, warmup);
-  }
+  // The plain run: the reference every row must reproduce, and the
+  // untimed warm-up of the shared feature cache.
+  sablock::core::BlockCollection reference;
+  technique->Run(dataset, reference);
 
-  eval::TablePrinter table({"threads", "shards", "PC", "PQ", "RR",
-                            "blocks", "time(s)", "speedup"});
+  eval::TablePrinter table({"threads", "PC", "PQ", "RR", "blocks",
+                            "= Run", "time(s)", "speedup"});
   double base_seconds = 0.0;
-  sablock::eval::Metrics base_metrics;
-  bool metrics_identical = true;
+  bool identical = true;
 
   for (int threads : {1, 2, 4, 8}) {
     sablock::engine::ExecutionSpec spec;
     spec.threads = threads;
-    spec.shards = shards;
     sablock::engine::ShardedExecutor executor(spec);
 
     std::vector<double> seconds;
@@ -82,23 +73,16 @@ int RunEngineScaling(report::BenchContext& ctx) {
     report::RepeatStats stats =
         report::SummarizeSeconds(std::move(seconds));
     double best = stats.min_s;
+    if (threads == 1) base_seconds = best;
+    const bool same = blocks.blocks() == reference.blocks();
+    identical = identical && same;
     sablock::eval::Metrics m = sablock::eval::Evaluate(dataset, blocks);
 
-    if (threads == 1) {
-      base_seconds = best;
-      base_metrics = m;
-    } else if (m.distinct_pairs != base_metrics.distinct_pairs ||
-               m.true_pairs != base_metrics.true_pairs ||
-               m.total_comparisons != base_metrics.total_comparisons ||
-               m.num_blocks != base_metrics.num_blocks) {
-      metrics_identical = false;
-    }
-    table.AddRow({std::to_string(threads), std::to_string(shards),
-                  FormatDouble(m.pc, 4), FormatDouble(m.pq, 4),
-                  FormatDouble(m.rr, 4),
+    table.AddRow({std::to_string(threads), FormatDouble(m.pc, 4),
+                  FormatDouble(m.pq, 4), FormatDouble(m.rr, 4),
                   std::to_string(static_cast<unsigned long long>(
                       m.num_blocks)),
-                  FormatDouble(best, 3),
+                  same ? "yes" : "NO", FormatDouble(best, 3),
                   FormatDouble(base_seconds / best, 2) + "x"});
 
     report::RunResult run;
@@ -107,7 +91,6 @@ int RunEngineScaling(report::BenchContext& ctx) {
     run.dataset = "voter-like";
     run.dataset_records = dataset.size();
     run.AddParam("threads", std::to_string(threads));
-    run.AddParam("shards", std::to_string(shards));
     run.time = stats;
     run.has_metrics = true;
     run.metrics = m;
@@ -115,10 +98,10 @@ int RunEngineScaling(report::BenchContext& ctx) {
   }
   table.Print();
 
-  std::printf("\ndeterminism check (identical PC/PQ/RR and block counts "
-              "across thread counts): %s\n",
-              metrics_identical ? "PASS" : "FAIL");
-  return metrics_identical ? 0 : 1;
+  std::printf("\ndeterminism check (every row emits the blocks() sequence "
+              "of a plain Run): %s\n",
+              identical ? "PASS" : "FAIL");
+  return identical ? 0 : 1;
 }
 
 }  // namespace
@@ -126,8 +109,8 @@ int RunEngineScaling(report::BenchContext& ctx) {
 void RegisterEngineScaling(report::BenchRegistry& registry) {
   registry.Register(
       {"engine_scaling",
-       "sharded-engine threading speedup + determinism check",
-       {"records", "shards"}},
+       "engine threading speedup + threads=N == plain Run check",
+       {"records"}},
       RunEngineScaling);
 }
 

@@ -4,14 +4,11 @@
 // taxonomy construction + record interpretation + semhash signatures.
 //
 // Beyond the paper's single-core figure, SA-LSH is also run through the
-// sharded execution engine (SA-LSH/par rows, --threads=N workers over
-// --shards=M record shards) — the "threads" column tells the series
-// apart. Shards are pinned independently of the thread count, so the
-// engine rows are comparable across machines and thread counts; note
-// that sharded blocking answers a slightly different question than the
-// 1-shard rows (blocks never span shards), so compare engine rows with
-// engine rows. The engine_scaling scenario isolates the speedup
-// measurement.
+// execution engine at --threads=N workers (the SA-LSH/par rows). The
+// workers split the technique's own work and never change its blocks, so
+// the scenario checks that every engine row's metrics equal the serial
+// SA-LSH row's and FAILS (nonzero exit) otherwise. The engine_scaling
+// scenario isolates the speedup measurement.
 
 #include <algorithm>
 #include <cstdio>
@@ -44,11 +41,10 @@ int RunFig13Scalability(report::BenchContext& ctx) {
       static_cast<size_t>(
           std::min(4, sablock::engine::ThreadPool::DefaultThreads())),
       2));
-  int shards = static_cast<int>(ctx.SizeOr("shards", 8, 4));
 
   std::printf("Fig. 13 reproduction (E10): scalability on Voter-like data\n"
-              "(k=9, l=15; engine rows: threads=%d over %d shards)\n\n",
-              threads, shards);
+              "(k=9, l=15; engine rows: threads=%d)\n\n",
+              threads);
 
   // Generate the full set once; prefixes give the size series.
   sablock::data::Dataset full = MakePaperVoter(max_records);
@@ -65,6 +61,7 @@ int RunFig13Scalability(report::BenchContext& ctx) {
   eval::TablePrinter table(
       {"records", "method", "threads", "PC", "PQ", "RR", "time(s)"});
   sablock::core::LshParams p = VoterLshParams();
+  bool engine_rows_equal = true;
   auto add_row = [&](size_t n, const std::string& method, int t,
                      const eval::TechniqueResult& r,
                      const report::RepeatStats& stats,
@@ -96,25 +93,16 @@ int RunFig13Scalability(report::BenchContext& ctx) {
     eval::TechniqueResult sa = RunTimed(ctx, sa_lsh, d, &stats);
     add_row(n, "SA-LSH", 1, sa, stats, d);
 
-    // The same SA-LSH setting through the sharded engine at 1 and at
-    // `threads` workers over the pinned shard count: identical blocks
-    // (and so identical PC/PQ/RR), wall time divided by the parallelism
-    // the hardware provides. Sharded runs are not repeated — the
-    // engine_scaling scenario owns that measurement.
+    // The same SA-LSH setting through the engine at `threads` workers:
+    // identical blocks (and so identical metrics), wall time divided by
+    // the parallelism the hardware provides. Engine runs are not
+    // repeated — the engine_scaling scenario owns that measurement.
     sablock::engine::ExecutionSpec spec;
-    spec.shards = shards;
-    spec.threads = 1;
-    eval::TechniqueResult par1 =
-        sablock::eval::RunTechnique(sa_lsh, d, spec);
-    add_row(n, "SA-LSH/par", 1, par1,
-            report::SummarizeSeconds({par1.seconds}), d);
-    if (threads > 1) {
-      spec.threads = threads;
-      eval::TechniqueResult parn =
-          sablock::eval::RunTechnique(sa_lsh, d, spec);
-      add_row(n, "SA-LSH/par", threads, parn,
-              report::SummarizeSeconds({parn.seconds}), d);
-    }
+    spec.threads = threads;
+    eval::TechniqueResult par = sablock::eval::RunTechnique(sa_lsh, d, spec);
+    add_row(n, "SA-LSH/par", threads, par,
+            report::SummarizeSeconds({par.seconds}), d);
+    engine_rows_equal = engine_rows_equal && par.metrics == sa.metrics;
 
     // SF: building the semantic machinery alone (taxonomy + interpretation
     // + semhash signatures), the dashed series of Fig. 13(d).
@@ -140,10 +128,11 @@ int RunFig13Scalability(report::BenchContext& ctx) {
       "\nShape check (paper, Fig. 13): PC stays flat across sizes (clean\n"
       "semantics), SA-LSH's PQ stays well above LSH's, RR ~0.9999\n"
       "everywhere, and all three time series grow linearly with the\n"
-      "number of records, SF being the cheapest. The SA-LSH/par rows\n"
-      "share PC/PQ/RR at every thread count (deterministic merge) and\n"
-      "their time shrinks with the hardware's core count.\n");
-  return 0;
+      "number of records, SF being the cheapest.\n");
+  std::printf("\nengine check (every SA-LSH/par row's metrics equal the "
+              "serial SA-LSH row's): %s\n",
+              engine_rows_equal ? "PASS" : "FAIL");
+  return engine_rows_equal ? 0 : 1;
 }
 
 }  // namespace
@@ -152,7 +141,7 @@ void RegisterFig13Scalability(report::BenchRegistry& registry) {
   registry.Register(
       {"fig13_scalability",
        "LSH / SA-LSH / SF scalability over growing Voter sets (E10)",
-       {"max", "threads", "shards"}},
+       {"max", "threads"}},
       RunFig13Scalability);
 }
 

@@ -37,7 +37,7 @@ constexpr const char* kUsage =
     "                   FILE in Prometheus text exposition format\n"
     "  --NAME=NUMBER    scenario size override (e.g. --cora=500\n"
     "                   --voter=2000 --records=50000 --max=100000\n"
-    "                   --shards=8 --threads=4 --runs=5)\n";
+    "                   --threads=4 --runs=5)\n";
 
 struct Options {
   bool list = false;

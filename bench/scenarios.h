@@ -24,7 +24,7 @@ void EnsureScenariosRegistered();
 ///   sablock_bench [--list] [--filter=SUB[,SUB...]] [--quick]
 ///                 [--repeat=N] [--json=FILE] [--NAME=NUMBER ...]
 /// Numeric --NAME=NUMBER flags become BenchContext size overrides (e.g.
-/// --cora=500 --voter=2000 --shards=4). Returns 0 when every selected
+/// --cora=500 --voter=2000 --threads=4). Returns 0 when every selected
 /// scenario passed, 1 when any failed or the JSON could not be written,
 /// 2 on a usage error.
 int BenchMain(int argc, char** argv);

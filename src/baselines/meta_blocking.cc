@@ -24,7 +24,7 @@ void TokenBlockingTechnique::Run(const data::Dataset& dataset,
       dataset.features().TokensFor(attributes_);
   // Postings grouped by token id: the grouping core's footprint follows
   // the (token, record) occurrences this run touches, not token_limit —
-  // which covers the whole column even when this run is one small shard
+  // which covers the whole column even when this run is one small
   // slice of it.
   core::GroupByKey postings;
   for (data::RecordId id = 0; id < dataset.size(); ++id) {

@@ -12,8 +12,8 @@ namespace sablock {
 /// band table, a radix-sort pass). Workers are installed on the calling
 /// thread by a ParallelScope; without one — the default everywhere —
 /// ParallelFor runs inline, so a library routine that calls it stays
-/// exactly serial unless its caller opted in (the engine does, for a
-/// one-shard run at threads > 1).
+/// exactly serial unless its caller opted in (the engine does, at
+/// threads > 1).
 ///
 /// Determinism: [0, n) is cut into contiguous chunks whose bounds depend
 /// only on (n, chunk count), and every chunk runs to completion before

@@ -17,16 +17,13 @@ using Block = std::vector<data::RecordId>;
 
 /// Streaming consumer of blocks. Techniques emit every block through a sink
 /// instead of materializing a full collection, so downstream stages
-/// (counting, budgets, sharded fan-out, meta-blocking) can process blocks
-/// as they are produced.
+/// (counting, budgets, meta-blocking) can process blocks as they are
+/// produced.
 ///
-/// Thread-safety contract: sinks are NOT internally synchronized — a
-/// sink's Consume()/Done() must be called by one producer at a time.
-/// Concurrent producers (the sharded execution engine's stream mode)
-/// share one engine::ConcurrentSink wrapping the sink chain; it serializes
-/// every Consume() and Done() under a single mutex. Running concurrent
-/// producers into a bare stateful sink is a data race (caught by the
-/// tools/check.sh --tsan build).
+/// Thread-safety contract: one producer thread per sink. Sinks are not
+/// internally synchronized, and a sink's Consume()/Done()/Flush() are
+/// called from one thread. Techniques that split their work over workers
+/// (common/parallel.h) still emit on the calling thread.
 class BlockSink {
  public:
   virtual ~BlockSink() = default;
@@ -100,13 +97,10 @@ class PairCountingSink : public BlockSink {
 /// block that crosses the budget is still forwarded, so the forwarded
 /// total exceeds the pair limit by less than one block.
 ///
-/// Under the sharded engine's stream mode, put the BudgetedSink under the
-/// engine's ConcurrentSink (pass it to Execute): every shard then spends
-/// from one serialized gate, so the overshoot stays below one block in
-/// total. The meter's countdown is atomic as well, so several
-/// BudgetedSinks may share one meter (one global budget across
-/// independent streams). The dropped-block counter is per-instance plain
-/// state, exact under the one-producer-per-sink contract.
+/// The meter's countdown is atomic, so several BudgetedSinks may share
+/// one meter (one global budget across independent streams). The
+/// dropped-block counter is per-instance plain state, exact under the
+/// one-producer-per-sink contract.
 class BudgetedSink : public BlockSink {
  public:
   BudgetedSink(BlockSink& inner, std::shared_ptr<BudgetMeter> meter)

@@ -14,7 +14,7 @@
 namespace sablock::core {
 
 /// The one budget grammar every layer speaks — pipeline stages, the
-/// sharded engine, the eval harness, the service verbs and the CLI flags
+/// engine, the eval harness, the service verbs and the CLI flags
 /// all parse the same comma-separated spec:
 ///
 ///   pairs=N           stop after N candidate pairs (redundancy-counting

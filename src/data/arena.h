@@ -19,7 +19,7 @@ namespace sablock::data {
 /// Not internally synchronized: Intern() must not race with itself.
 /// Concurrent *reads* of previously interned spans are safe (interning
 /// never mutates published bytes), which is all the feature-extraction
-/// layer and the sharded engine need from a fully built dataset.
+/// layer and its concurrent readers need from a fully built dataset.
 class StringArena {
  public:
   StringArena() = default;

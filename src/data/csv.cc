@@ -7,37 +7,121 @@
 
 namespace sablock::data {
 
-std::vector<std::string> ParseCsvLine(std::string_view line) {
-  std::vector<std::string> fields;
-  std::string current;
-  bool in_quotes = false;
-  size_t i = 0;
-  while (i < line.size()) {
-    char c = line[i];
-    if (in_quotes) {
-      if (c == '"') {
-        if (i + 1 < line.size() && line[i + 1] == '"') {
-          current.push_back('"');
-          ++i;
+namespace {
+
+/// The RFC 4180 field state machine behind ParseCsvLine and ReadCsv. It
+/// is fed one physical line at a time and keeps its state between lines,
+/// so a quoted field may span line breaks: while in_quotes() is set after
+/// Feed, the row continues on the next line. The fields go into a
+/// caller-owned vector, so a reader reuses its capacity row after row.
+class CsvRowParser {
+ public:
+  explicit CsvRowParser(std::vector<std::string>* fields) : fields_(fields) {
+    fields_->clear();
+  }
+
+  void Feed(std::string_view line) {
+    // The loop runs on locals: a char store into a member string may
+    // alias the other members, which would force a reload per byte.
+    bool in_quotes = in_quotes_;
+    std::string current = std::move(current_);
+    for (size_t i = 0; i < line.size(); ++i) {
+      char c = line[i];
+      if (in_quotes) {
+        if (c == '"') {
+          if (i + 1 < line.size() && line[i + 1] == '"') {
+            current.push_back('"');
+            ++i;
+          } else {
+            in_quotes = false;
+          }
         } else {
-          in_quotes = false;
+          current.push_back(c);
         }
       } else {
-        current.push_back(c);
-      }
-    } else {
-      if (c == '"' && current.empty()) {
-        in_quotes = true;
-      } else if (c == ',') {
-        fields.push_back(std::move(current));
-        current.clear();
-      } else {
-        current.push_back(c);
+        if (c == '"' && current.empty()) {
+          in_quotes = true;
+        } else if (c == ',') {
+          fields_->push_back(std::move(current));
+          current.clear();
+        } else {
+          current.push_back(c);
+        }
       }
     }
-    ++i;
+    current_ = std::move(current);
+    in_quotes_ = in_quotes;
   }
-  fields.push_back(std::move(current));
+
+  bool in_quotes() const { return in_quotes_; }
+
+  /// Drops the last character of the open field: the '\r' of a CRLF line
+  /// end, which Feed took as field text outside quotes.
+  void DropLastChar() { current_.pop_back(); }
+
+  void Finish() { fields_->push_back(std::move(current_)); }
+
+ private:
+  std::vector<std::string>* fields_;
+  std::string current_;
+  bool in_quotes_ = false;
+};
+
+/// Reads a CSV stream row by row. Skips blank lines between rows, joins
+/// the lines of a quoted field that spans line breaks (restoring the '\n'
+/// getline consumed), and strips a CRLF '\r' only once the row is
+/// complete, so a quoted "\r\n" survives.
+class CsvRowReader {
+ public:
+  explicit CsvRowReader(std::istream& in) : in_(in) {}
+
+  /// Reads the next row into `fields`. Returns false at the end of the
+  /// input; status() is then an error if it ended inside a quoted field.
+  bool Next(std::vector<std::string>* fields) {
+    CsvRowParser parser(fields);
+    bool continued = false;
+    while (std::getline(in_, line_)) {
+      ++line_no_;
+      if (continued) {
+        parser.Feed("\n");
+      } else if (line_.empty() || line_ == "\r") {
+        continue;
+      } else {
+        row_line_ = line_no_;
+      }
+      parser.Feed(line_);
+      continued = parser.in_quotes();
+      if (continued) continue;
+      if (!line_.empty() && line_.back() == '\r') parser.DropLastChar();
+      parser.Finish();
+      return true;
+    }
+    if (continued) {
+      status_ = Status::Error("CSV row " + std::to_string(row_line_) +
+                              " has a quoted field that is never closed");
+    }
+    return false;
+  }
+
+  /// The physical line number (1-based) of the last row's first line.
+  size_t row_line() const { return row_line_; }
+  const Status& status() const { return status_; }
+
+ private:
+  std::istream& in_;
+  std::string line_;  // reused across rows
+  size_t line_no_ = 0;
+  size_t row_line_ = 0;
+  Status status_;
+};
+
+}  // namespace
+
+std::vector<std::string> ParseCsvLine(std::string_view line) {
+  std::vector<std::string> fields;
+  CsvRowParser parser(&fields);
+  parser.Feed(line);
+  parser.Finish();
   return fields;
 }
 
@@ -59,12 +143,12 @@ Status ReadCsv(const std::string& path, const std::string& entity_column,
   if (!in.is_open()) {
     return Status::Error("cannot open CSV file: " + path);
   }
-  std::string line;
-  if (!std::getline(in, line)) {
-    return Status::Error("CSV file is empty: " + path);
+  CsvRowReader rows(in);
+  std::vector<std::string> header;
+  if (!rows.Next(&header)) {
+    return rows.status().ok() ? Status::Error("CSV file is empty: " + path)
+                              : rows.status();
   }
-  if (!line.empty() && line.back() == '\r') line.pop_back();
-  std::vector<std::string> header = ParseCsvLine(line);
 
   int entity_idx = -1;
   std::vector<std::string> attr_names;
@@ -81,16 +165,13 @@ Status ReadCsv(const std::string& path, const std::string& entity_column,
 
   Dataset dataset{Schema(attr_names)};
   std::unordered_map<std::string, EntityId> entity_ids;
-  size_t line_no = 1;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (line.empty()) continue;
-    std::vector<std::string> fields = ParseCsvLine(line);
+  std::vector<std::string> fields;
+  while (rows.Next(&fields)) {
     if (fields.size() != header.size()) {
-      return Status::Error("CSV row " + std::to_string(line_no) + " has " +
-                           std::to_string(fields.size()) + " fields, header " +
-                           "has " + std::to_string(header.size()));
+      return Status::Error("CSV row " + std::to_string(rows.row_line()) +
+                           " has " + std::to_string(fields.size()) +
+                           " fields, header has " +
+                           std::to_string(header.size()));
     }
     Record rec;
     EntityId entity = kUnknownEntity;
@@ -105,6 +186,7 @@ Status ReadCsv(const std::string& path, const std::string& entity_column,
     }
     dataset.Add(std::move(rec), entity);
   }
+  if (!rows.status().ok()) return rows.status();
   *out = std::move(dataset);
   return Status::Ok();
 }

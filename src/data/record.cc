@@ -198,8 +198,8 @@ Dataset Dataset::Slice(size_t begin, size_t end) const {
   // features() staleness check below (the store snapshotted that version).
   out.version_ = version_;
   {
-    // Share an already created feature store so every shard of a sharded
-    // execution reuses the parent's caches.
+    // Share an already created feature store so the slice reuses the
+    // parent's caches.
     std::lock_guard<std::mutex> lock(FeatureCreationMutex());
     out.features_ = features_;
   }

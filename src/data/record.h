@@ -177,9 +177,7 @@ class Dataset {
 
   /// Returns a new dataset with records [begin, end) (clamped to the
   /// dataset; empty when begin >= end). Record id `i` of the slice is
-  /// record `begin + i` of this dataset — the sharded execution engine
-  /// relies on this offset mapping to translate shard-local block ids
-  /// back to global ids.
+  /// record `begin + i` of this dataset.
   ///
   /// Zero-copy: the slice shares this dataset's arena (no record bytes
   /// are copied) and its FeatureStore (if already created), so features

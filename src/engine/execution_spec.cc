@@ -5,10 +5,7 @@
 namespace sablock::engine {
 
 std::string ExecutionSpec::ToString() const {
-  std::string text = "threads=" + std::to_string(threads) +
-                     ",shards=" + std::to_string(shards) + ",merge=";
-  text += merge == Merge::kCollect ? "collect" : "stream";
-  return text;
+  return "threads=" + std::to_string(threads);
 }
 
 Status ExecutionSpec::Parse(const std::string& text, ExecutionSpec* out) {
@@ -18,17 +15,10 @@ Status ExecutionSpec::Parse(const std::string& text, ExecutionSpec* out) {
 
   ExecutionSpec spec;
   spec.threads = params.GetInt("threads", spec.threads);
-  spec.shards = params.GetInt("shards", spec.shards);
-  spec.merge = params.GetEnum<Merge>(
-      "merge", spec.merge,
-      {{"collect", Merge::kCollect}, {"stream", Merge::kStream}});
   status = params.Finish();
   if (!status.ok()) return status;
   if (spec.threads < 1) {
     return Status::Error("param 'threads': must be >= 1");
-  }
-  if (spec.shards < 1) {
-    return Status::Error("param 'shards': must be >= 1");
   }
   *out = spec;
   return Status::Ok();

@@ -1,163 +1,26 @@
 #include "engine/sharded_executor.h"
 
-#include <algorithm>
-#include <utility>
-
 #include "common/check.h"
 #include "common/parallel.h"
-#include "common/timer.h"
-#include "engine/concurrent_sink.h"
-#include "engine/thread_pool.h"
-#include "features/feature_store.h"
-#include "obs/metrics.h"
 #include "obs/span.h"
 
 namespace sablock::engine {
 
-namespace {
-
-/// Runs the technique on one shard, translating the shard-local ids the
-/// technique emits back to global ids via `range.begin`. Slice() is a
-/// zero-copy view: the shard shares the parent dataset's string arena and
-/// FeatureStore, so per-record features (normalized text, shingle sets,
-/// minhash signatures) are computed once for the whole dataset and reused
-/// by every concurrent shard.
-///
-/// Per-shard telemetry: record/block throughput counters plus a
-/// per-shard wall-time histogram, so a starved or skewed shard shows up
-/// on a live process instead of only in post-hoc bench output, and one
-/// `engine.shard` span, which includes any wait on another shard's
-/// feature-column build. The interposed PairCountingSink adds one branch
-/// per block — noise next to the technique's own work.
-void RunShard(const core::BlockingTechnique& technique,
-              const data::Dataset& dataset, ShardRange range,
-              core::BlockSink& shard_sink) {
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-  static obs::Counter* const shards =
-      registry.GetCounter("engine_shards", "shard tasks executed");
-  static obs::Counter* const records = registry.GetCounter(
-      "engine_shard_records", "records processed by shard tasks");
-  static obs::Counter* const blocks = registry.GetCounter(
-      "engine_shard_blocks", "blocks emitted by shard tasks");
-  static obs::Histogram* const seconds = registry.GetHistogram(
-      "engine_shard_seconds", "per-shard execution wall time",
-      obs::Histogram::LatencyBuckets());
-
-  obs::ObsSpan span("engine.shard");
-  WallTimer timer;
-  data::Dataset shard = dataset.Slice(range.begin, range.end);
-  core::PairCountingSink counted(shard_sink);
-  OffsetSink offset(counted, range.begin);
-  technique.Run(shard, offset);
-  seconds->Observe(timer.Seconds());
-  shards->Add(1);
-  records->Add(range.size());
-  blocks->Add(counted.num_blocks());
-}
-
-}  // namespace
-
-std::vector<ShardRange> MakeShardRanges(size_t num_records, int num_shards) {
-  SABLOCK_CHECK_MSG(num_shards >= 1, "shard count must be >= 1");
-  size_t shards = std::min<size_t>(static_cast<size_t>(num_shards),
-                                   std::max<size_t>(num_records, 1));
-  std::vector<ShardRange> ranges;
-  if (num_records == 0) return ranges;
-  ranges.reserve(shards);
-  const size_t base = num_records / shards;
-  const size_t extra = num_records % shards;  // first `extra` get base + 1
-  size_t begin = 0;
-  for (size_t s = 0; s < shards; ++s) {
-    size_t size = base + (s < extra ? 1 : 0);
-    ranges.push_back({static_cast<data::RecordId>(begin),
-                      static_cast<data::RecordId>(begin + size)});
-    begin += size;
-  }
-  SABLOCK_CHECK(begin == num_records);
-  return ranges;
-}
-
 ShardedExecutor::ShardedExecutor(ExecutionSpec spec) : spec_(spec) {
   SABLOCK_CHECK_MSG(spec_.threads >= 1, "ExecutionSpec.threads must be >= 1");
-  SABLOCK_CHECK_MSG(spec_.shards >= 1, "ExecutionSpec.shards must be >= 1");
+  SABLOCK_CHECK_MSG(spec_.shards == 1, "ExecutionSpec.shards must be 1");
 }
 
 void ShardedExecutor::Execute(const core::BlockingTechnique& technique,
                               const data::Dataset& dataset,
                               core::BlockSink& sink) const {
-  const std::vector<ShardRange> ranges =
-      MakeShardRanges(dataset.size(), spec_.shards);
-  if (ranges.empty()) return;
-
-  // One shard is the unsharded computation: run straight into the sink
-  // (no slicing, no merge) with the workers installed for the technique's
-  // own ParallelFor loops. Those write preassigned slots and emit on this
-  // thread, so every thread count is byte-identical with a plain
-  // technique.Run(dataset, sink) — which threads=1 is exactly.
-  if (ranges.size() == 1) {
-    obs::ObsSpan span("engine.shard");
-    ParallelScope workers(spec_.threads);
-    technique.Run(dataset, sink);
-    return;
-  }
-
-  // Materialize the dataset's feature store *before* slicing so every
-  // shard inherits the same cache instead of lazily creating its own.
-  // Note the cold-start tradeoff: the first shard to request a feature
-  // column builds it for the whole dataset single-threaded (the others
-  // wait on the column's once_flag), in exchange for computing each
-  // column once instead of once per shard. Warm-cache executions — the
-  // steady state for repeated or multi-technique runs — parallelize the
-  // full per-shard work.
-  dataset.features();
-
-  const int threads =
-      std::min(spec_.threads, static_cast<int>(ranges.size()));
-
-  if (spec_.merge == ExecutionSpec::Merge::kStream) {
-    ConcurrentSink shared(sink);
-    if (threads == 1) {
-      for (const ShardRange& range : ranges) {
-        if (shared.Done()) break;
-        RunShard(technique, dataset, range, shared);
-      }
-    } else {
-      ThreadPool pool(threads);
-      for (const ShardRange& range : ranges) {
-        pool.Submit([&technique, &dataset, range, &shared] {
-          if (shared.Done()) return;
-          RunShard(technique, dataset, range, shared);
-        });
-      }
-      pool.Wait();
-    }
-    return;
-  }
-
-  // merge=collect: materialize per shard, then merge in shard order so
-  // the output is independent of scheduling. Each task writes only its
-  // own vector element; the pool's Wait() orders those writes before the
-  // merge reads them.
-  std::vector<core::BlockCollection> per_shard(ranges.size());
-  if (threads == 1) {
-    for (size_t s = 0; s < ranges.size(); ++s) {
-      RunShard(technique, dataset, ranges[s], per_shard[s]);
-    }
-  } else {
-    ThreadPool pool(threads);
-    for (size_t s = 0; s < ranges.size(); ++s) {
-      core::BlockCollection* out = &per_shard[s];
-      const ShardRange range = ranges[s];
-      pool.Submit([&technique, &dataset, range, out] {
-        RunShard(technique, dataset, range, *out);
-      });
-    }
-    pool.Wait();
-  }
-  for (core::BlockCollection& collection : per_shard) {
-    collection.Drain(sink);
-    if (sink.Done()) return;
-  }
+  // The workers serve the technique's own ParallelFor loops, which write
+  // preassigned slots and emit on this thread, so every thread count is
+  // byte-identical with a plain technique.Run(dataset, sink) — which
+  // threads=1 is exactly.
+  obs::ObsSpan span("engine.shard");
+  ParallelScope workers(spec_.threads);
+  technique.Run(dataset, sink);
 }
 
 void ShardedExecutor::ExecutePipeline(
@@ -165,11 +28,6 @@ void ShardedExecutor::ExecutePipeline(
     const pipeline::Pipeline& stages, const data::Dataset& dataset,
     core::BlockSink& sink) const {
   pipeline::Chain chain = stages.Instantiate(dataset, sink);
-  // In stream mode Execute serializes all shard producers into
-  // chain.head() through its ConcurrentSink; in collect mode the merged
-  // shard collections drain into it in shard order. Either way the
-  // producers are finished when Execute returns, so this is the single
-  // end-of-stream point — the barrier stages run here, at merge.
   Execute(technique, dataset, chain.head());
   chain.Flush();
 }

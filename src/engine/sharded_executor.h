@@ -1,8 +1,6 @@
 #ifndef SABLOCK_ENGINE_SHARDED_EXECUTOR_H_
 #define SABLOCK_ENGINE_SHARDED_EXECUTOR_H_
 
-#include <vector>
-
 #include "core/blocking.h"
 #include "data/record.h"
 #include "engine/execution_spec.h"
@@ -10,78 +8,31 @@
 
 namespace sablock::engine {
 
-/// Half-open contiguous range of record ids [begin, end) forming one
-/// shard of a dataset.
-struct ShardRange {
-  data::RecordId begin = 0;
-  data::RecordId end = 0;
-
-  size_t size() const { return end - begin; }
-};
-
-/// Splits [0, num_records) into up to `num_shards` contiguous near-equal
-/// ranges (sizes differ by at most 1; the first num_records % num_shards
-/// ranges are the longer ones). Never produces empty ranges: with fewer
-/// records than shards the result has one range per record, and an empty
-/// dataset yields no ranges.
-std::vector<ShardRange> MakeShardRanges(size_t num_records, int num_shards);
-
 /// Runs any BlockingTechnique over a dataset under an ExecutionSpec.
 ///
-/// One shard (the default) is the technique's own computation:
 /// Execute installs `threads` workers (common/parallel.h) for the length
 /// of technique.Run(dataset, sink), and the technique splits its feature
 /// columns, semantic interpretation, band-key fill and radix sort over
 /// them. Emission stays on the calling thread, so the output is
-/// byte-identical to threads=1, block order included. Plain Run, the
-/// incremental indexes and the service install no workers and stay
-/// serial.
-///
-/// Several shards partition the records, one concurrent task per shard
-/// on a ThreadPool (the technique runs serially inside each). Blocks
-/// never span shards (cross-shard record pairs are not candidates), so
-/// the shard count is part of the computation's definition while the
-/// thread count is not:
-///
-///   results depend on (technique, dataset, shards, merge) — never on
-///   threads.
-///
-/// Merge modes (see ExecutionSpec): collect materializes one
-/// BlockCollection per shard and merges them in shard order with record
-/// ids translated back to the global dataset, giving a deterministic
-/// output for any thread count; stream forwards each block through a
-/// shared ConcurrentSink as soon as it is produced (order then depends on
-/// scheduling, but the multiset of blocks does not).
+/// byte-identical to a plain Run at any thread count, block order
+/// included. Plain Run, the incremental indexes and the service install
+/// no workers and stay serial.
 ///
 /// Budgets are the caller's: wrap the sink in a core::BudgetedSink and
-/// pass that. In stream mode the gate sits under the ConcurrentSink, so
-/// every shard spends from one serialized budget (overshoot below one
-/// block in total) and its Done() signal reaches every shard task. In
-/// collect mode shards materialize in full (deterministic for any thread
-/// count) and the budget gates the shard-order merge, like
-/// BlockCollection::Drain.
+/// pass that.
 class ShardedExecutor {
  public:
   explicit ShardedExecutor(ExecutionSpec spec);
 
   /// Runs `technique` over `dataset` under the spec, emitting every block
-  /// (with global record ids) into `sink`. The sink itself need not be
-  /// thread-safe: the executor serializes all access to it.
+  /// into `sink` on the calling thread.
   void Execute(const core::BlockingTechnique& technique,
                const data::Dataset& dataset, core::BlockSink& sink) const;
 
-  /// Runs `technique` sharded and `stages` once, globally: the shard
-  /// producers feed one shared stage chain — through the engine's
-  /// ConcurrentSink in stream mode, or via the deterministic shard-order
-  /// merge in collect mode — and the chain is flushed exactly once after
-  /// every shard has finished, so barrier stages (meta-blocking) run
-  /// their graph phase at merge over the full cross-shard stream.
-  ///
-  /// Contrast with Execute(PipelinedBlocker(...)), which instantiates
-  /// the whole pipeline independently inside every shard (per-shard
-  /// graphs over per-shard blocks). `technique` here should be a plain
-  /// generator: a technique that flushes a shared sink per shard would
-  /// fire the global barrier early.
+  /// Runs `technique` into a fresh instance of `stages` and flushes the
+  /// chain once it returns, so barrier stages (meta-blocking) run their
+  /// graph phase over the full stream. The result equals
+  /// PipelinedBlocker::Run of the same blocker and stages.
   void ExecutePipeline(const core::BlockingTechnique& technique,
                        const pipeline::Pipeline& stages,
                        const data::Dataset& dataset,

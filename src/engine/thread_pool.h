@@ -12,9 +12,9 @@
 
 namespace sablock::engine {
 
-/// Fixed-size worker pool executing submitted tasks FIFO. The building
-/// block of the sharded execution engine: ShardedExecutor submits one task
-/// per shard, eval::RunAllParallel one task per technique.
+/// Fixed-size worker pool executing submitted tasks FIFO: the workers
+/// behind ParallelScope (common/parallel.h), and eval::RunAllParallel
+/// submits one task per technique.
 ///
 /// Tasks must not throw (the library is exception-free; invariant
 /// violations abort via SABLOCK_CHECK). Submitting from inside a running

@@ -111,9 +111,7 @@ TechniqueResult RunTechnique(const core::BlockingTechnique& technique,
   // Time against a detached feature cache: the harness exists to compare
   // techniques, and a shared warm FeatureStore would bias the time column
   // toward whichever technique runs later (cache reuse is benchmarked
-  // explicitly in the micro scenario, not implicitly here). The shards of
-  // a sharded run still share one feature build through the cold copy's
-  // own store.
+  // explicitly in the micro scenario, not implicitly here).
   data::Dataset cold = dataset.ColdCopy();
   sablock::WallTimer timer;
   core::BlockCollection blocks;

@@ -21,10 +21,10 @@ struct TechniqueResult {
   double seconds = 0.0;
 };
 
-/// Runs a technique through the sharded execution engine under `spec`,
-/// timing block construction (the Table 3 "Time" column measures block
-/// building only, as in the paper). The default spec is one shard, which
-/// is exactly technique.Run(dataset, sink). Timing is cold-path: the
+/// Runs a technique through the engine under `spec`, timing block
+/// construction (the Table 3 "Time" column measures block building only,
+/// as in the paper). The blocks equal technique.Run(dataset, sink) at any
+/// `spec.threads`. Timing is cold-path: the
 /// technique runs against a detached feature cache (Dataset::ColdCopy) so
 /// the reported seconds are end-to-end and independent of which technique
 /// the harness happened to run first.
@@ -62,13 +62,13 @@ struct PipelineResult {
 /// wasted work on all but the last of a timing loop's repetitions) and
 /// leaves `metrics` default.
 ///
-/// The generator runs through the sharded engine under `spec` (default:
-/// one shard, the plain Run); the stage chain runs once, globally, and is
-/// flushed after every shard has finished, so barrier stages fire at
-/// merge. A non-null `meter` gates what reaches `blocks` through a
-/// core::BudgetedSink after the last stage: barrier stages still see the
-/// full stream, and Done() backpressure reaches the generator. The
-/// per-step counts report what each step emitted, before the gate.
+/// The generator runs through the engine under `spec` (default: the
+/// plain Run); the stage chain is flushed once the generator returns, so
+/// barrier stages see the full stream. A non-null `meter` gates what
+/// reaches `blocks` through a core::BudgetedSink after the last stage:
+/// barrier stages still see the full stream, and Done() backpressure
+/// reaches the generator. The per-step counts report what each step
+/// emitted, before the gate.
 PipelineResult RunPipeline(const core::BlockingTechnique& blocker,
                            const pipeline::Pipeline& stages,
                            const data::Dataset& dataset,
@@ -82,7 +82,7 @@ std::vector<TechniqueResult> RunAll(
     const data::Dataset& dataset);
 
 /// RunAll sweeping the settings across a thread pool: each technique runs
-/// single-threaded (unsharded, identical blocks to RunAll) but up to
+/// single-threaded (identical blocks to RunAll) but up to
 /// `threads` techniques run concurrently. Results keep the input order.
 /// Per-technique wall times include scheduling contention, so prefer
 /// RunAll when individual timings are the measurement.

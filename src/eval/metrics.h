@@ -36,6 +36,8 @@ struct Metrics {
   uint64_t all_pairs = 0;           ///< |Ω|
   uint64_t num_blocks = 0;
   uint64_t max_block_size = 0;
+
+  friend bool operator==(const Metrics&, const Metrics&) = default;
 };
 
 /// Evaluates a block collection against the dataset's ground truth.

@@ -69,8 +69,9 @@ struct SignatureColumn {
 /// lazily, exactly once, and are immutable after publication:
 ///
 ///  - every getter double-checks through a per-column std::once_flag, so
-///    concurrent engine shards racing the same column share one build and
-///    block only until it is published;
+///    concurrent readers of one store (a RunAllParallel sweep, service
+///    threads) racing the same column share one build and block only
+///    until it is published;
 ///  - distinct columns build independently (the registry map mutex is
 ///    held only to find/insert the entry, never while building);
 ///  - derived columns stack: token and shingle columns build on top of
@@ -222,8 +223,8 @@ class FeatureStore {
 };
 
 /// A dataset's window into a FeatureStore: translates the dataset's local
-/// record ids to the store snapshot's ids (non-zero offset for slices of
-/// a sharded execution) and keeps the store alive. Obtain one per
+/// record ids to the store snapshot's ids (non-zero offset for a
+/// Dataset::Slice) and keeps the store alive. Obtain one per
 /// technique run via Dataset::features(), resolve the needed columns once
 /// with the *For handles, then read per-record features O(1) in the hot
 /// loop.

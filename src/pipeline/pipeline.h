@@ -23,8 +23,8 @@ namespace sablock::pipeline {
 /// The flush stops at the chain boundary: blocks and Done() flow through
 /// to the caller's sink, but the caller's sink's own Flush() is never
 /// invoked. Flush ownership does not cross an ownership boundary — so a
-/// PipelinedBlocker running one chain per record shard cannot fire an
-/// outer shared barrier stage once per shard.
+/// PipelinedBlocker run inside an outer chain cannot fire the outer
+/// chain's barrier stages early.
 ///
 /// Every stage is instrumented through an interposed counting sink: what
 /// a stage emits feeds the process-wide `blocks_emitted{stage=...}` /
@@ -78,9 +78,8 @@ class Chain {
 
 /// An ordered sequence of prototype stages. The pipeline itself holds no
 /// run state: Instantiate() clones every stage into a fresh wired Chain,
-/// so a const Pipeline can serve many runs concurrently (the sharded
-/// engine runs one chain per record shard when the pipeline executes
-/// inside a PipelinedBlocker).
+/// so a const Pipeline can serve many runs concurrently (a RunAllParallel
+/// sweep or the service's request threads).
 class Pipeline {
  public:
   Pipeline() = default;
@@ -118,8 +117,7 @@ class Pipeline {
 /// A blocking technique with a pipeline bolted on: Run() sends the
 /// wrapped generator's blocks through the stage chain. This is how a
 /// pipeline drops into every existing technique-shaped slot — the eval
-/// harness, the sharded engine (which then applies the whole pipeline
-/// independently per record shard), the CLI.
+/// harness, the engine, the CLI.
 class PipelinedBlocker : public core::BlockingTechnique {
  public:
   PipelinedBlocker(std::unique_ptr<core::BlockingTechnique> blocker,

@@ -24,7 +24,7 @@ namespace sablock::pipeline {
 /// being blocked and to its downstream sink before the first Consume();
 /// Flush() ends the stream and cascades downstream. Pipelines hold
 /// prototype stages and Clone() a fresh chain per run, so one Pipeline
-/// serves concurrent runs (e.g. one per record shard).
+/// serves concurrent runs (e.g. one per service request).
 class PipelineStage : public core::BlockSink {
  public:
   enum class Kind {

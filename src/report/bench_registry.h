@@ -20,7 +20,7 @@ class BenchContext {
   int repeat = 1;
 
   /// Numeric `--name=value` overrides passed through the runner (e.g.
-  /// --cora=500, --voter=2000, --shards=4). Scenario code never parses
+  /// --cora=500, --voter=2000, --threads=4). Scenario code never parses
   /// argv itself.
   std::map<std::string, size_t> flags;
 

@@ -1,6 +1,6 @@
 // Tests for the unified Budget grammar and the shared atomic BudgetMeter
-// countdown — the one budget type every layer (pipeline stage, sharded
-// engine, service verbs, CLI flags) accounts against.
+// countdown — the one budget type every layer (pipeline stage, engine,
+// service verbs, CLI flags) accounts against.
 
 #include <gtest/gtest.h>
 

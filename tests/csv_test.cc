@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "data/csv.h"
 
@@ -66,6 +67,62 @@ TEST(CsvRoundTripTest, WritesAndReadsBack) {
   EXPECT_EQ(back.Value(1, "note"), "quote \" inside");
   EXPECT_TRUE(back.IsMatch(0, 1));
   EXPECT_FALSE(back.IsMatch(0, 2));
+}
+
+// Values holding every character EscapeCsvField quotes for come back
+// byte-exact, and so do the entity ids.
+TEST(CsvRoundTripTest, QuotedCommasQuotesAndLineBreaksAreByteExact) {
+  const std::vector<std::vector<std::string>> rows = {
+      {"a,b", "say \"hi\""},
+      {"line\nbreak", "crlf\r\nbreak"},
+      {"\n", "\r\n"},
+      {"ends with cr\r", "\"\r\n,\"\n"},
+      {"", "plain"},
+  };
+  // Numbered by first appearance, as ReadCsv numbers labels.
+  const EntityId entities[] = {0, 1, 0, 2, 1};
+  Dataset d{Schema({"x", "y"})};
+  for (size_t r = 0; r < rows.size(); ++r) d.Add({rows[r]}, entities[r]);
+  const std::string path = TempPath("multiline_roundtrip.csv");
+  ASSERT_TRUE(WriteCsv(path, d, "entity").ok());
+
+  Dataset back;
+  Status s = ReadCsv(path, "entity", &back);
+  ASSERT_TRUE(s.ok()) << s.message();
+  ASSERT_EQ(back.size(), rows.size());
+  for (RecordId id = 0; id < back.size(); ++id) {
+    EXPECT_EQ(back.Value(id, "x"), rows[id][0]) << "row " << id;
+    EXPECT_EQ(back.Value(id, "y"), rows[id][1]) << "row " << id;
+    EXPECT_EQ(back.entity(id), d.entity(id)) << "row " << id;
+  }
+}
+
+TEST(CsvReadTest, QuotedLineBreakContinuesTheRow) {
+  std::string path = TempPath("quoted_newline.csv");
+  WriteFile(path, "id,v,w\r\n1,\"a\nb\",x\r\n2,\"c\r\n\r\nd\",y\r\n");
+  Dataset d;
+  Status s = ReadCsv(path, "", &d);
+  ASSERT_TRUE(s.ok()) << s.message();
+  ASSERT_EQ(d.size(), 2u);
+  EXPECT_EQ(d.Value(0, "v"), "a\nb");
+  EXPECT_EQ(d.Value(0, "w"), "x");
+  EXPECT_EQ(d.Value(1, "v"), "c\r\n\r\nd");
+  EXPECT_EQ(d.Value(1, "w"), "y");
+}
+
+TEST(CsvReadTest, ErrorsNameTheRowsFirstLine) {
+  std::string path = TempPath("ragged_multiline.csv");
+  WriteFile(path, "a,b\n1,2\n\"x\ny\",2,3\n");
+  Dataset d;
+  Status s = ReadCsv(path, "", &d);
+  ASSERT_FALSE(s.ok());
+  EXPECT_NE(s.message().find("row 3 has 3 fields"), std::string::npos)
+      << s.message();
+
+  WriteFile(path, "a,b\n1,\"never\nclosed\n");
+  s = ReadCsv(path, "", &d);
+  ASSERT_FALSE(s.ok());
+  EXPECT_NE(s.message().find("row 2"), std::string::npos) << s.message();
 }
 
 TEST(CsvReadTest, WithoutEntityColumn) {

@@ -1,6 +1,5 @@
 #include "engine/sharded_executor.h"
 
-#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -20,7 +19,6 @@
 namespace sablock::engine {
 namespace {
 
-using core::Block;
 using core::BlockCollection;
 using core::BlockingTechnique;
 
@@ -52,57 +50,14 @@ std::shared_ptr<core::BudgetMeter> PairsMeter(uint64_t pairs) {
   return std::make_shared<core::BudgetMeter>(core::Budget{.pairs = pairs});
 }
 
-uint64_t MaxBlockComparisons(const BlockCollection& collection) {
-  const uint64_t n = collection.MaxBlockSize();
-  return n * (n - 1) / 2;
-}
-
-std::vector<Block> SortedBlocks(const BlockCollection& collection) {
-  std::vector<Block> blocks = collection.blocks();
-  std::sort(blocks.begin(), blocks.end());
-  return blocks;
-}
-
-// --- MakeShardRanges ------------------------------------------------------
-
-TEST(MakeShardRangesTest, PartitionsAllRecordsContiguously) {
-  std::vector<ShardRange> ranges = MakeShardRanges(103, 8);
-  ASSERT_EQ(ranges.size(), 8u);
-  EXPECT_EQ(ranges.front().begin, 0u);
-  EXPECT_EQ(ranges.back().end, 103u);
-  for (size_t i = 1; i < ranges.size(); ++i) {
-    EXPECT_EQ(ranges[i].begin, ranges[i - 1].end);
-  }
-  // Near-equal: sizes differ by at most one, longer shards first.
-  for (const ShardRange& r : ranges) {
-    EXPECT_GE(r.size(), 103u / 8);
-    EXPECT_LE(r.size(), 103u / 8 + 1);
-  }
-}
-
-TEST(MakeShardRangesTest, MoreShardsThanRecordsYieldsOnePerRecord) {
-  std::vector<ShardRange> ranges = MakeShardRanges(3, 16);
-  ASSERT_EQ(ranges.size(), 3u);
-  for (size_t i = 0; i < ranges.size(); ++i) {
-    EXPECT_EQ(ranges[i].begin, i);
-    EXPECT_EQ(ranges[i].size(), 1u);
-  }
-}
-
-TEST(MakeShardRangesTest, EmptyDatasetYieldsNoRanges) {
-  EXPECT_TRUE(MakeShardRanges(0, 4).empty());
-}
-
 // --- ExecutionSpec --------------------------------------------------------
 
-TEST(ExecutionSpecTest, ParsesFullSpec) {
+TEST(ExecutionSpecTest, ParsesThreads) {
   ExecutionSpec spec;
-  Status status =
-      ExecutionSpec::Parse("threads=4,shards=8,merge=stream", &spec);
+  Status status = ExecutionSpec::Parse("threads=4", &spec);
   ASSERT_TRUE(status.ok()) << status.message();
   EXPECT_EQ(spec.threads, 4);
-  EXPECT_EQ(spec.shards, 8);
-  EXPECT_EQ(spec.merge, ExecutionSpec::Merge::kStream);
+  EXPECT_EQ(spec.shards, 1);
 }
 
 TEST(ExecutionSpecTest, EmptyTextIsDefaultSpec) {
@@ -110,165 +65,75 @@ TEST(ExecutionSpecTest, EmptyTextIsDefaultSpec) {
   ASSERT_TRUE(ExecutionSpec::Parse("", &spec).ok());
   EXPECT_EQ(spec.threads, 1);
   EXPECT_EQ(spec.shards, 1);
-  EXPECT_EQ(spec.merge, ExecutionSpec::Merge::kCollect);
-}
-
-TEST(ExecutionSpecTest, ThreadsAloneDoNotShard) {
-  // Sharding changes the answer, so only an explicit shards= opts in.
-  ExecutionSpec spec;
-  ASSERT_TRUE(ExecutionSpec::Parse("threads=6", &spec).ok());
-  EXPECT_EQ(spec.threads, 6);
-  EXPECT_EQ(spec.shards, 1);
 }
 
 TEST(ExecutionSpecTest, RejectsBadInput) {
   ExecutionSpec spec;
   EXPECT_FALSE(ExecutionSpec::Parse("threads=0", &spec).ok());
-  EXPECT_FALSE(ExecutionSpec::Parse("shards=0", &spec).ok());
-  EXPECT_FALSE(ExecutionSpec::Parse("shards=-1", &spec).ok());
-  EXPECT_FALSE(ExecutionSpec::Parse("merge=sideways", &spec).ok());
   EXPECT_FALSE(ExecutionSpec::Parse("workers=3", &spec).ok());
   EXPECT_FALSE(ExecutionSpec::Parse("threads", &spec).ok());
+  // shards= and merge= are unknown keys (record sharding changed the
+  // answer), and the error names the key.
+  struct Removed {
+    const char* text;
+    const char* key;
+  };
+  for (const Removed& removed : {Removed{"shards=2", "'shards'"},
+                                 Removed{"merge=stream", "'merge'"},
+                                 Removed{"threads=2,shards=2", "'shards'"}}) {
+    SCOPED_TRACE(removed.text);
+    Status status = ExecutionSpec::Parse(removed.text, &spec);
+    ASSERT_FALSE(status.ok());
+    EXPECT_NE(status.message().find(removed.key), std::string::npos)
+        << status.message();
+  }
 }
 
 TEST(ExecutionSpecTest, ToStringRoundTrips) {
   ExecutionSpec spec;
   spec.threads = 3;
-  spec.shards = 12;
-  spec.merge = ExecutionSpec::Merge::kStream;
+  EXPECT_EQ(spec.ToString(), "threads=3");
   ExecutionSpec parsed;
   ASSERT_TRUE(ExecutionSpec::Parse(spec.ToString(), &parsed).ok());
   EXPECT_EQ(parsed.threads, 3);
-  EXPECT_EQ(parsed.shards, 12);
-  EXPECT_EQ(parsed.merge, ExecutionSpec::Merge::kStream);
 }
 
 // --- ShardedExecutor ------------------------------------------------------
 
-TEST(ShardedExecutorTest, SingleShardMatchesDirectRun) {
+TEST(ShardedExecutorTest, DefaultSpecMatchesDirectRun) {
   data::Dataset dataset = SmallVoter(500);
   std::unique_ptr<BlockingTechnique> technique =
       FromSpec("tblo:attrs=first_name+last_name");
   BlockCollection direct = RunStreaming(*technique, dataset);
 
-  ExecutionSpec spec;  // threads=1, shards=1
-  BlockCollection sharded =
-      Collect(spec, *technique, dataset);
-  EXPECT_EQ(sharded.blocks(), direct.blocks());
+  ExecutionSpec spec;  // threads=1
+  EXPECT_EQ(Collect(spec, *technique, dataset).blocks(), direct.blocks());
 }
 
-TEST(ShardedExecutorTest, CollectMergeIsDeterministicAcrossThreadCounts) {
+// The one budget path: the caller's BudgetedSink passed into Execute.
+// Emission stays on the calling thread, so a budgeted run is
+// byte-identical to a budgeted plain Run at any thread count.
+TEST(ShardedExecutorTest, BudgetedRunIsIdenticalAcrossThreadCounts) {
   data::Dataset dataset = SmallVoter(1000);
   std::unique_ptr<BlockingTechnique> technique =
       FromSpec("sa-lsh:domain=voter,k=4,l=8,q=2,w=5,mode=or");
-
-  ExecutionSpec base;
-  base.threads = 1;
-  base.shards = 8;
-  BlockCollection reference =
-      Collect(base, *technique, dataset);
-  EXPECT_GT(reference.NumBlocks(), 0u);
-
-  for (int threads : {2, 8}) {
-    ExecutionSpec spec = base;
-    spec.threads = threads;
-    BlockCollection merged =
-        Collect(spec, *technique, dataset);
-    // Bit-identical, including block order (stable shard/block ordering).
-    EXPECT_EQ(merged.blocks(), reference.blocks())
-        << "threads=" << threads;
-  }
-}
-
-TEST(ShardedExecutorTest, StreamModeEmitsSameBlockMultisetAsCollect) {
-  data::Dataset dataset = SmallVoter(800);
-  std::unique_ptr<BlockingTechnique> technique =
-      FromSpec("tblo:attrs=last_name");
-
-  ExecutionSpec spec;
-  spec.threads = 4;
-  spec.shards = 8;
-  BlockCollection collected =
-      Collect(spec, *technique, dataset);
-
-  spec.merge = ExecutionSpec::Merge::kStream;
-  BlockCollection streamed;
-  ShardedExecutor(spec).Execute(*technique, dataset, streamed);
-  EXPECT_EQ(SortedBlocks(streamed), SortedBlocks(collected));
-}
-
-TEST(ShardedExecutorTest, StreamModeHonoursBudgetedSinkBackpressure) {
-  data::Dataset dataset = SmallVoter(800);
-  std::unique_ptr<BlockingTechnique> technique =
-      FromSpec("tblo:attrs=last_name");
-
-  BlockCollection collection;
-  core::BudgetedSink budgeted(collection, PairsMeter(10));
-  ExecutionSpec spec;
-  spec.threads = 4;
-  spec.shards = 8;
-  spec.merge = ExecutionSpec::Merge::kStream;
-  ShardedExecutor(spec).Execute(*technique, dataset, budgeted);
-  EXPECT_TRUE(budgeted.Done());
-  EXPECT_GE(budgeted.meter()->Spent(), 10u);
-  EXPECT_EQ(collection.TotalComparisons(), budgeted.meter()->Spent());
-}
-
-// The one budget path of a sharded run: the caller's BudgetedSink passed
-// into plain Execute. In stream mode it sits under the engine's
-// ConcurrentSink, so all shards spend from one gate and the overshoot is
-// below one block in total, not one per shard.
-TEST(ShardedExecutorTest, StreamModeBudgetOvershootsByAtMostOneBlock) {
-  data::Dataset dataset = SmallVoter(2000);
-  std::unique_ptr<BlockingTechnique> technique =
-      FromSpec("lsh:k=2,l=8,q=2,attrs=first_name+last_name");
-  ExecutionSpec spec;
-  spec.threads = 4;
-  spec.shards = 8;
-  spec.merge = ExecutionSpec::Merge::kStream;
-  const uint64_t total =
-      Collect(spec, *technique, dataset).TotalComparisons();
-
-  for (uint64_t budget : {1u, 50u, 1000u}) {
-    SCOPED_TRACE("budget=" + std::to_string(budget));
-    ASSERT_GT(total, budget);
-    BlockCollection collection;
-    core::BudgetedSink budgeted(collection, PairsMeter(budget));
-    ShardedExecutor(spec).Execute(*technique, dataset, budgeted);
-    const uint64_t forwarded = collection.TotalComparisons();
-    EXPECT_EQ(forwarded, budgeted.meter()->Spent());
-    EXPECT_GE(forwarded, budget);
-    EXPECT_LE(forwarded, budget + MaxBlockComparisons(collection));
-    EXPECT_STREQ(budgeted.meter()->ExhaustedReason(), "pairs");
-  }
-}
-
-// Collect mode gates the deterministic shard-order merge, so a budgeted
-// run is byte-identical at any thread count for a fixed shard count.
-TEST(ShardedExecutorTest, CollectModeBudgetIsIdenticalAcrossThreadCounts) {
-  data::Dataset dataset = SmallVoter(1000);
-  std::unique_ptr<BlockingTechnique> technique =
-      FromSpec("sa-lsh:domain=voter,k=4,l=8,q=2,w=5,mode=or");
-  ExecutionSpec spec;
-  spec.shards = 8;
   const uint64_t budget =
-      Collect(spec, *technique, dataset).TotalComparisons() / 2;
+      RunStreaming(*technique, dataset).TotalComparisons() / 2;
   ASSERT_GT(budget, 10u);
   BlockCollection reference;
+  core::BudgetedSink reference_sink(reference, PairsMeter(budget));
+  technique->Run(dataset, reference_sink);
+  ASSERT_GT(reference.NumBlocks(), 0u);
   for (int threads : {1, 2, 4}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
+    ExecutionSpec spec;
     spec.threads = threads;
     BlockCollection collection;
     core::BudgetedSink budgeted(collection, PairsMeter(budget));
     ShardedExecutor(spec).Execute(*technique, dataset, budgeted);
     EXPECT_TRUE(budgeted.Done());
     EXPECT_GE(collection.TotalComparisons(), budget);
-    if (threads == 1) {
-      reference = std::move(collection);
-      ASSERT_GT(reference.NumBlocks(), 0u);
-    } else {
-      EXPECT_EQ(collection.blocks(), reference.blocks());
-    }
+    EXPECT_EQ(collection.blocks(), reference.blocks());
   }
 }
 
@@ -278,54 +143,49 @@ TEST(ShardedExecutorTest, EmptyDatasetProducesNoBlocks) {
       FromSpec("tblo:attrs=last_name");
   ExecutionSpec spec;
   spec.threads = 4;
-  spec.shards = 4;
-  BlockCollection merged =
-      Collect(spec, *technique, dataset);
-  EXPECT_EQ(merged.NumBlocks(), 0u);
+  EXPECT_EQ(Collect(spec, *technique, dataset).NumBlocks(), 0u);
 }
 
-// --- determinism of Metrics (the reproducibility guarantee) ---------------
+// --- determinism (the reproducibility guarantee) --------------------------
 
-void ExpectIdenticalMetricsAcrossThreadCounts(const std::string& spec_text) {
+// Execute at 1, 2 and 8 threads emits the blocks() sequence of a plain
+// Run, and RunTechnique reports the plain run's metrics.
+void ExpectPlainRunAtOneTwoEightThreads(const std::string& spec_text) {
   SCOPED_TRACE(spec_text);
   data::Dataset dataset = SmallVoter(2000);
   std::unique_ptr<BlockingTechnique> technique = FromSpec(spec_text);
+  const BlockCollection plain = RunStreaming(*technique, dataset.ColdCopy());
+  ASSERT_GT(plain.NumBlocks(), 0u);
+  const eval::Metrics reference = eval::Evaluate(dataset, plain);
 
-  ExecutionSpec spec;
-  spec.shards = 8;  // pinned: the computation is defined by the shards
-  spec.threads = 1;
-  eval::TechniqueResult reference =
-      eval::RunTechnique(*technique, dataset, spec);
-
-  for (int threads : {2, 8}) {
-    spec.threads = threads;
-    eval::TechniqueResult result =
-        eval::RunTechnique(*technique, dataset, spec);
+  for (int threads : {1, 2, 8}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
-    EXPECT_EQ(result.metrics.pc, reference.metrics.pc);
-    EXPECT_EQ(result.metrics.pq, reference.metrics.pq);
-    EXPECT_EQ(result.metrics.rr, reference.metrics.rr);
-    EXPECT_EQ(result.metrics.fm, reference.metrics.fm);
-    EXPECT_EQ(result.metrics.distinct_pairs,
-              reference.metrics.distinct_pairs);
-    EXPECT_EQ(result.metrics.true_pairs, reference.metrics.true_pairs);
-    EXPECT_EQ(result.metrics.total_comparisons,
-              reference.metrics.total_comparisons);
-    EXPECT_EQ(result.metrics.num_blocks, reference.metrics.num_blocks);
-    EXPECT_EQ(result.metrics.max_block_size,
-              reference.metrics.max_block_size);
+    ExecutionSpec spec;
+    spec.threads = threads;
+    EXPECT_EQ(Collect(spec, *technique, dataset.ColdCopy()).blocks(),
+              plain.blocks());
+    const eval::Metrics m =
+        eval::RunTechnique(*technique, dataset, spec).metrics;
+    EXPECT_EQ(m.pc, reference.pc);
+    EXPECT_EQ(m.pq, reference.pq);
+    EXPECT_EQ(m.rr, reference.rr);
+    EXPECT_EQ(m.fm, reference.fm);
+    EXPECT_EQ(m.distinct_pairs, reference.distinct_pairs);
+    EXPECT_EQ(m.true_pairs, reference.true_pairs);
+    EXPECT_EQ(m.total_comparisons, reference.total_comparisons);
+    EXPECT_EQ(m.num_blocks, reference.num_blocks);
+    EXPECT_EQ(m.max_block_size, reference.max_block_size);
   }
 }
 
 TEST(EngineDeterminismTest, SaLshMetricsIdenticalAtOneTwoEightThreads) {
-  ExpectIdenticalMetricsAcrossThreadCounts(
+  ExpectPlainRunAtOneTwoEightThreads(
       "sa-lsh:domain=voter,k=4,l=8,q=2,w=5,mode=or");
 }
 
 TEST(EngineDeterminismTest,
      StandardBlockingMetricsIdenticalAtOneTwoEightThreads) {
-  ExpectIdenticalMetricsAcrossThreadCounts(
-      "tblo:attrs=first_name+last_name");
+  ExpectPlainRunAtOneTwoEightThreads("tblo:attrs=first_name+last_name");
 }
 
 // --- eval integration -----------------------------------------------------

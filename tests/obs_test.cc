@@ -322,7 +322,7 @@ TEST(PhaseSpanTest, ColdLshRunRecordsEachFeatureBuildOnce) {
   }
 }
 
-TEST(PhaseSpanTest, EngineRecordsOneSpanPerShard) {
+TEST(PhaseSpanTest, EngineRecordsOneSpanPerExecute) {
   data::CoraGeneratorConfig config;
   config.num_records = 120;
   config.num_entities = 12;
@@ -332,15 +332,12 @@ TEST(PhaseSpanTest, EngineRecordsOneSpanPerShard) {
   params.l = 4;
   params.attributes = {"title"};
   const core::LshBlocker lsh(params);
-  for (int shards : {1, 3}) {
-    const uint64_t before = SpanCount("engine.shard");
-    engine::ExecutionSpec spec;
-    spec.threads = 2;
-    spec.shards = shards;
-    core::BlockCollection blocks;
-    engine::ShardedExecutor(spec).Execute(lsh, dataset, blocks);
-    EXPECT_EQ(SpanCount("engine.shard"), before + shards) << shards;
-  }
+  const uint64_t before = SpanCount("engine.shard");
+  engine::ExecutionSpec spec;
+  spec.threads = 2;
+  core::BlockCollection blocks;
+  engine::ShardedExecutor(spec).Execute(lsh, dataset, blocks);
+  EXPECT_EQ(SpanCount("engine.shard"), before + 1);
 }
 
 TEST(PhaseSpanTest, OneRunRecordsEachPhaseOnce) {

@@ -1,7 +1,7 @@
 // Parallelism inside one technique: the fork-join primitive
-// (common/parallel.h) and the engine's one-shard parity guarantee —
-// Execute at threads=2 and threads=4 (shards=1) emits exactly the
-// blocks() sequence of a plain Run, for every registry technique and the
+// (common/parallel.h) and the engine's parity guarantee — Execute at
+// threads=2 and threads=4 emits exactly the blocks() sequence of a
+// plain Run, for every registry technique and the
 // Fig. 12 meta pipeline, and for LSH/SA-LSH above the fork grain. Runs
 // under TSan via the `concurrency` ctest label.
 
@@ -113,8 +113,8 @@ std::unique_ptr<pipeline::PipelinedBlocker> BuildOrDie(
 }
 
 // Runs `spec` cold (a fresh feature cache, so the columns are built under
-// the workers too): plainly, then through the engine at 2 and 4 threads
-// with one shard. Every run must emit the identical blocks() sequence.
+// the workers too): plainly, then through the engine at 2 and 4 threads.
+// Every run must emit the identical blocks() sequence.
 void ExpectParity(const std::string& spec, const data::Dataset& dataset) {
   SCOPED_TRACE(spec);
   std::unique_ptr<pipeline::PipelinedBlocker> built = BuildOrDie(spec);
@@ -125,7 +125,6 @@ void ExpectParity(const std::string& spec, const data::Dataset& dataset) {
   for (int threads : {2, 4}) {
     engine::ExecutionSpec exec;
     exec.threads = threads;
-    ASSERT_EQ(exec.shards, 1);
     const engine::ShardedExecutor executor(exec);
     const data::Dataset cold = dataset.ColdCopy();
     BlockCollection parallel;

@@ -2,8 +2,7 @@
 // (`meta:weighting=,pruning=,max-block=`) must reproduce the spelled-out
 // pipeline `token-blocking | purge | meta` byte-identically — same
 // blocks, same order — for every weighting × pruning combination, both
-// single-threaded and through the sharded engine (merge=collect, where
-// each runs whole per record shard).
+// through plain Run and through the engine at 1, 2 and 4 threads.
 //
 // (The absolute output is additionally pinned by feature_golden_test's
 // meta golden hash; this test sweeps the full 20-combo grid for
@@ -93,29 +92,34 @@ TEST(PipelineGoldenTest, AllCombosRegistryMetaMatchesPipelineByteIdentically) {
   }
 }
 
-TEST(PipelineGoldenTest, AllCombosMatchThroughShardedEngineCollect) {
+TEST(PipelineGoldenTest, AllCombosMatchPlainRunThroughEngineAtAnyThreads) {
   data::Dataset d = GoldenDataset();
-  engine::ExecutionSpec spec;
-  ASSERT_TRUE(engine::ExecutionSpec::Parse("threads=2,shards=3,merge=collect",
-                                           &spec)
-                  .ok());
-  engine::ShardedExecutor executor(spec);
   for (MetaWeighting w : kWeightings) {
     for (MetaPruning p : kPrunings) {
       std::unique_ptr<core::BlockingTechnique> registered =
           BuildRegistered(w, p);
       ASSERT_NE(registered, nullptr);
       BlockCollection expected;
-      executor.Execute(*registered, d, expected);
+      registered->Run(d, expected);
+      ASSERT_GT(expected.NumBlocks(), 0u) << registered->name();
 
       std::unique_ptr<pipeline::PipelinedBlocker> pipelined =
           BuildPipeline(w, p);
       ASSERT_NE(pipelined, nullptr);
-      BlockCollection actual;
-      executor.Execute(*pipelined, d, actual);
-
-      ASSERT_GT(expected.NumBlocks(), 0u) << pipelined->name();
-      EXPECT_EQ(actual.blocks(), expected.blocks()) << pipelined->name();
+      for (int threads : {1, 2, 4}) {
+        engine::ExecutionSpec spec;
+        spec.threads = threads;
+        const engine::ShardedExecutor executor(spec);
+        BlockCollection registered_out;
+        executor.Execute(*registered, d.ColdCopy(), registered_out);
+        EXPECT_EQ(registered_out.blocks(), expected.blocks())
+            << registered->name() << ", " << threads << " threads";
+        BlockCollection pipelined_out;
+        executor.ExecutePipeline(pipelined->blocker(), pipelined->stages(),
+                                 d.ColdCopy(), pipelined_out);
+        EXPECT_EQ(pipelined_out.blocks(), expected.blocks())
+            << pipelined->name() << ", " << threads << " threads";
+      }
     }
   }
 }

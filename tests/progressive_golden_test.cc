@@ -6,10 +6,9 @@
 // bench pins, so every blocker family (sorted-neighbourhood, suffix,
 // string-map, canopy, meta, LSH variants) is covered.
 //
-// A second test pins thread-count determinism: at a fixed shard count the
-// sharded engine's global stage chain (merge=collect) must produce a
-// byte-identical progressive stream regardless of how many threads run
-// the shards.
+// A second test pins thread-count determinism: the engine's stage chain
+// must produce the plain run's progressive stream, byte-identical, at any
+// thread count.
 
 #include <gtest/gtest.h>
 
@@ -109,34 +108,25 @@ TEST(ProgressiveGoldenTest, UnlimitedBudgetMatchesBatchForEveryTechnique) {
   }
 }
 
-TEST(ProgressiveGoldenTest, ShardedOutputIsThreadCountInvariant) {
+TEST(ProgressiveGoldenTest, EngineOutputIsThreadCountInvariant) {
   data::Dataset d = GoldenDataset();
   std::unique_ptr<pipeline::PipelinedBlocker> pipelined = BuildOrDie(
       "tblo:attrs=authors+title | purge:max_size=200 | "
       "progressive:sched=ew-cbs");
   ASSERT_NE(pipelined, nullptr);
-
-  // Same shard count (part of the computation's definition), different
-  // thread counts (which must not be): the global stage chain under
-  // merge=collect has to emit the identical best-first stream.
   BlockCollection reference;
+  pipelined->Run(d, reference);
+  ASSERT_GT(reference.NumBlocks(), 0u);
+
   for (int threads : {1, 2, 4}) {
     engine::ExecutionSpec spec;
     ASSERT_TRUE(engine::ExecutionSpec::Parse(
-                    "threads=" + std::to_string(threads) +
-                        ",shards=3,merge=collect",
-                    &spec)
+                    "threads=" + std::to_string(threads), &spec)
                     .ok());
-    engine::ShardedExecutor executor(spec);
     BlockCollection out;
-    executor.ExecutePipeline(pipelined->blocker(), pipelined->stages(), d,
-                             out);
-    ASSERT_GT(out.NumBlocks(), 0u);
-    if (threads == 1) {
-      reference = std::move(out);
-    } else {
-      EXPECT_EQ(out.blocks(), reference.blocks()) << threads << " threads";
-    }
+    engine::ShardedExecutor(spec).ExecutePipeline(
+        pipelined->blocker(), pipelined->stages(), d.ColdCopy(), out);
+    EXPECT_EQ(out.blocks(), reference.blocks()) << threads << " threads";
   }
 }
 

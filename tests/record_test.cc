@@ -91,7 +91,7 @@ TEST(DatasetTest, SliceOffsetsRecordIds) {
   Dataset d = TwoColumnDataset();
   Dataset s = d.Slice(1, 3);
   ASSERT_EQ(s.size(), 2u);
-  // Slice-local id i is global id begin + i (the engine's shard mapping).
+  // Slice-local id i is global id begin + i.
   EXPECT_EQ(s.Value(0, "name"), "alicia");
   EXPECT_EQ(s.Value(1, "name"), "bob");
   EXPECT_EQ(s.entity(0), 0u);

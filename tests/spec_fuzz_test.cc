@@ -65,8 +65,7 @@ std::vector<std::string> Seeds() {
         "progressive:sched=ew-cbs,pairs=100,seconds=2",
         "sor-a:window=3,attrs=title | cap:budget=1000",
         "pairs=50000,seconds=1.5,recall-target=0.9", "pairs=inf",
-        "seconds=0.25", "threads=4,shards=8,merge=collect",
-        "threads=1,shards=1,merge=stream"}) {
+        "seconds=0.25", "threads=4", "threads=2,shards=2"}) {
     seeds.emplace_back(spec);
   }
   return seeds;

@@ -10,8 +10,8 @@
 #       the full suite or the sanitizer modes before shipping)
 #   tools/check.sh --tsan    builds with -DSABLOCK_SANITIZE=thread (into
 #       build-tsan/) and runs the concurrency- and service-labelled
-#       tests — thread pool, concurrent sinks, sharded execution engine,
-#       feature store, the block pipeline, and the candidate server's
+#       tests — thread pool, the engine's threads=N parity with plain
+#       Run, feature store, the block pipeline, and the candidate server's
 #       concurrent insert/query traffic — under ThreadSanitizer
 #   tools/check.sh --asan    builds with -DSABLOCK_SANITIZE=address,undefined
 #       (into build-asan/) and runs the full test suite under ASan+UBSan —

@@ -49,8 +49,33 @@
 
 namespace {
 
+/// Every flag the usage text documents.
+constexpr const char* kFlags[] = {
+    "help",          "list",          "list-stages", "list-indexes",
+    "input",         "entity-column", "generate",    "records",
+    "load-snapshot", "technique",     "pipeline",    "attrs",
+    "pairs-out",     "blocks-out",    "threads",     "budget",
+    "repeat",        "save-snapshot", "snapshot-raw",
+    "snapshot-no-features"};
+
+/// Legacy per-parameter flags, folded into the technique spec as defaults
+/// (ApplyLegacyFlags).
+constexpr const char* kLegacyFlags[] = {
+    "k",      "l",         "q",     "w",          "mode",
+    "domain", "window",    "probes", "depth",     "seed",
+    "nn",     "threshold", "sim",    "min-suffix", "max-block"};
+
+bool IsKnownFlag(const std::string& name) {
+  auto match = [&name](const char* known) { return name == known; };
+  return std::any_of(std::begin(kFlags), std::end(kFlags), match) ||
+         std::any_of(std::begin(kLegacyFlags), std::end(kLegacyFlags),
+                     match);
+}
+
 struct Flags {
   std::map<std::string, std::string> values;
+  /// The first flag on the command line that IsKnownFlag rejects.
+  std::string unknown;
 
   std::string Get(const std::string& name,
                   const std::string& fallback = "") const {
@@ -70,13 +95,16 @@ Flags ParseFlags(int argc, char** argv) {
     const char* arg = argv[i];
     if (std::strncmp(arg, "--", 2) != 0) continue;
     const char* eq = std::strchr(arg, '=');
+    const std::string name = eq != nullptr ? std::string(arg + 2, eq)
+                                           : std::string(arg + 2);
+    if (flags.unknown.empty() && !IsKnownFlag(name)) flags.unknown = name;
     if (eq != nullptr) {
-      flags.values[std::string(arg + 2, eq)] = eq + 1;
+      flags.values[name] = eq + 1;
     } else if (i + 1 < argc && argv[i + 1][0] != '-') {
       // "--flag value" form (spec strings often carry '=' themselves).
-      flags.values[arg + 2] = argv[++i];
+      flags.values[name] = argv[++i];
     } else {
-      flags.values[arg + 2] = "true";
+      flags.values[name] = "true";
     }
   }
   return flags;
@@ -95,9 +123,6 @@ void PrintUsage() {
       "                   [--blocks-out=FILE]   (write blocks)\n"
       "                   [--threads=N]         (workers inside the run;\n"
       "                                          never change the blocks)\n"
-      "                   [--shards=M]          (record shards, default 1;\n"
-      "                                          M > 1 changes the answer)\n"
-      "                   [--merge=collect|stream]\n"
       "                   [--budget \"pairs=N,seconds=S\"]  (stop once the\n"
       "                                          emitted comparisons or\n"
       "                                          wall clock hit the cap)\n"
@@ -118,16 +143,11 @@ void PrintUsage() {
       "\n"
       "--threads=N splits the technique's own work (feature columns,\n"
       "band keys, radix sort) over N workers; the blocks are byte-identical\n"
-      "to --threads=1. --shards=M (opt-in) partitions the records and runs\n"
-      "the technique per shard concurrently; blocks never span shards, so\n"
-      "results depend on the shard count but never on the thread count\n"
-      "(merge=collect is deterministic).\n"
+      "to --threads=1.\n"
       "\n"
       "--pipeline composes any blocker with post-processing stages, e.g.\n"
       "  \"token-blocking | purge:max_size=500 | meta:weight=cbs,prune=wep\"\n"
-      "and reports per-stage block/pair counts and timings. Under\n"
-      "--shards the generator runs sharded while the stages run once,\n"
-      "globally (barrier stages fire at merge).\n"
+      "and reports per-stage block/pair counts and timings.\n"
       "\n"
       "--budget takes the unified core::Budget grammar (pairs=N,\n"
       "seconds=S; \"inf\" = unlimited) and bounds what reaches the\n"
@@ -137,8 +157,9 @@ void PrintUsage() {
       "use the progressive stage (--pipeline \"... | progressive:...\").\n"
       "\n"
       "The technique spec drives the blocker registry; legacy flags\n"
-      "(--k, --l, --q, --w, --mode, --window, --probes, --domain,\n"
-      " --seed) are folded into the spec as defaults.\n");
+      "(--k, --l, --q, --w, --mode, --domain, --window, --probes, --depth,\n"
+      " --seed, --nn, --threshold, --sim, --min-suffix, --max-block) are\n"
+      "folded into the spec as defaults. Any other flag is an error.\n");
 }
 
 void PrintStages() {
@@ -180,11 +201,7 @@ void PrintRegistry() {
 /// invocations like "--technique=lsh --k=9 --l=15" keep working.
 void ApplyLegacyFlags(const Flags& flags,
                       sablock::api::BlockerSpec* spec) {
-  static const char* kPassthrough[] = {
-      "k",      "l",         "q",     "w",          "mode",
-      "domain", "window",    "probes", "depth",     "seed",
-      "nn",     "threshold", "sim",    "min-suffix", "max-block"};
-  for (const char* name : kPassthrough) {
+  for (const char* name : kLegacyFlags) {
     if (flags.Has(name)) spec->params.SetIfAbsent(name, flags.Get(name));
   }
 }
@@ -264,6 +281,11 @@ int SaveSnapshotFromFlags(const Flags& flags,
 
 int main(int argc, char** argv) {
   Flags flags = ParseFlags(argc, argv);
+  if (!flags.unknown.empty()) {
+    std::fprintf(stderr, "error: unknown flag '--%s' (see --help)\n",
+                 flags.unknown.c_str());
+    return 1;
+  }
   if (flags.Has("help") || argc == 1) {
     PrintUsage();
     return 0;
@@ -375,18 +397,11 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- execution spec (sharded engine + repeat) -------------------------
+  // --- execution spec ---------------------------------------------------
   sablock::engine::ExecutionSpec exec;
-  {
-    std::string exec_text;
-    auto append = [&exec_text](const std::string& kv) {
-      if (!exec_text.empty()) exec_text += ",";
-      exec_text += kv;
-    };
-    if (flags.Has("threads")) append("threads=" + flags.Get("threads"));
-    if (flags.Has("shards")) append("shards=" + flags.Get("shards"));
-    if (flags.Has("merge")) append("merge=" + flags.Get("merge"));
-    status = sablock::engine::ExecutionSpec::Parse(exec_text, &exec);
+  if (flags.Has("threads")) {
+    status = sablock::engine::ExecutionSpec::Parse(
+        "threads=" + flags.Get("threads"), &exec);
     if (!status.ok()) {
       std::fprintf(stderr, "error: %s\n", status.message().c_str());
       return 1;
@@ -412,16 +427,11 @@ int main(int argc, char** argv) {
   }
 
   const int repeat = std::max(flags.GetInt("repeat", 1), 1);
-  // Engine flags only decide whether the spec is reported: every run goes
-  // through the executor, whose one-shard path is the plain Run.
-  const bool use_engine =
-      flags.Has("threads") || flags.Has("shards") || flags.Has("merge");
 
   // --- run (the last repeat's result serves metrics and outputs) ----
   // RunPipeline detaches the feature cache per run, so every repetition
   // pays the full end-to-end build; it interposes counting sinks after
-  // the generator and every stage, runs the generator sharded under
-  // `exec` (stages run once, globally: barrier stages fire at merge), and
+  // the generator and every stage, runs the generator under `exec`, and
   // gates what reaches the collection with the budget meter. Only the
   // final repetition pays the quality-metrics pass.
   sablock::eval::PipelineResult result;
@@ -445,7 +455,9 @@ int main(int argc, char** argv) {
   const sablock::eval::Metrics& metrics = result.metrics;
   std::printf("%s: %s\n", use_pipeline ? "pipeline" : "technique",
               pipelined->name().c_str());
-  if (use_engine) {
+  // --threads only decides whether the spec is reported: every run goes
+  // through the executor.
+  if (flags.Has("threads")) {
     std::printf("engine: %s\n", exec.ToString().c_str());
   }
   if (use_pipeline) {
